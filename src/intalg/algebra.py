@@ -91,6 +91,15 @@ _TABLES = {
     AlgebraOrder.ORDER_7: _TABLE_7,
 }
 
+# Product schedules: one (k, i, j) triple per unordered index pair i <= j,
+# i ascending and j ascending within each i; k = table[i][j] is the target.
+_SCHEDULES = {
+    order: tuple(
+        (table[i][j], i, j) for i in range(len(table)) for j in range(i, len(table))
+    )
+    for order, table in _TABLES.items()
+}
+
 
 def generator_endpoints(order: int | AlgebraOrder) -> tuple[tuple[float, float], ...]:
     """Endpoint pairs of the generator intervals, in coefficient order."""
@@ -135,21 +144,21 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_orders(self, other)
-        return AlgebraElement(
+        return _element(
             self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_orders(self, other)
-        return AlgebraElement(
+        return _element(
             self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.order, tuple(-c for c in self.coeffs))
+        return _element(self.order, tuple(-c for c in self.coeffs))
 
     def scale(self, factor: float) -> "AlgebraElement":
-        return AlgebraElement(self.order, tuple(factor * c for c in self.coeffs))
+        return _element(self.order, tuple(factor * c for c in self.coeffs))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return alg_mul(self, other)
@@ -158,8 +167,18 @@ class AlgebraElement:
         return all(c == 0.0 for c in self.coeffs)
 
 
+def _element(order: AlgebraOrder, coeffs: tuple[float, ...]) -> AlgebraElement:
+    """Build an element from an AlgebraOrder member and a tuple of floats of
+    its length, skipping the public constructor's conversion and checks."""
+    element = object.__new__(AlgebraElement)
+    object.__setattr__(element, "order", order)
+    object.__setattr__(element, "coeffs", coeffs)
+    return element
+
+
 def _check_orders(u: AlgebraElement, v: AlgebraElement) -> None:
-    if u.order != v.order:
+    # Every element holds an AlgebraOrder member, so identity is equality.
+    if u.order is not v.order:
         raise OrderMismatchError(
             f"algebra orders differ: {int(u.order)} vs {int(v.order)}"
         )
@@ -170,19 +189,20 @@ def alg_mul(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
 
     Terms are accumulated over unordered index pairs so that the result is
     bit-identical under argument swap (the tables are symmetric and float
-    addition of the two cross products commutes exactly).
+    addition of the two cross products commutes exactly).  The schedule walks
+    the pairs i ascending, then j ascending, into accumulators that start at
+    0.0: float addition does not associate, so this order of additions is
+    part of the result, and the results are pinned bit for bit.
     """
     _check_orders(u, v)
-    table = _TABLES[u.order]
-    n = int(u.order)
     a, b = u.coeffs, v.coeffs
-    out = [0.0] * n
-    for i in range(n):
-        row = table[i]
-        out[row[i]] += a[i] * b[i]
-        for j in range(i + 1, n):
-            out[row[j]] += a[i] * b[j] + a[j] * b[i]
-    return AlgebraElement(u.order, tuple(out))
+    out = [0.0] * len(a)
+    for k, i, j in _SCHEDULES[u.order]:
+        if i == j:
+            out[k] += a[i] * b[i]
+        else:
+            out[k] += a[i] * b[j] + a[j] * b[i]
+    return _element(u.order, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -210,7 +230,7 @@ def from_split(s: SplitCoords) -> AlgebraElement:
     """Inverse change of basis from split coordinates."""
     x1, x4 = s.i1
     x2, x3 = s.i2
-    return AlgebraElement(AlgebraOrder.ORDER_4, (x1, x2 - x1, x3 - x4, x4))
+    return _element(AlgebraOrder.ORDER_4, (x1, x2 - x1, x3 - x4, x4))
 
 
 def _split_inverse(pair: tuple[float, float]) -> tuple[float, float]:

@@ -23,15 +23,17 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .algebra import (
+    _GENERATORS,
     AlgebraElement,
     AlgebraOrder,
     _as_order,
+    _element,
     alg_inv,
     alg_mul,
-    generator_endpoints,
 )
 from .errors import (
     DivisionNotAllowedError,
@@ -116,7 +118,7 @@ class GeneralizedInterval:
 def _collapse_raw(order: AlgebraOrder, coeffs) -> tuple[float, float]:
     lo = 0.0
     hi = 0.0
-    for c, (glo, ghi) in zip(coeffs, generator_endpoints(order)):
+    for c, (glo, ghi) in zip(coeffs, _GENERATORS[order]):
         lo += c * glo
         hi += c * ghi
     return lo, hi
@@ -173,7 +175,8 @@ def _best_two_ray(
             if err < best_err:
                 best_err = err
                 best = coeffs
-    assert best is not None
+    if best is None:
+        raise DomainError(f"no embedding of ({lo!r}, {hi!r}) found at order {n}")
     return best
 
 
@@ -228,11 +231,14 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
     """Embed an endpoint pair as nonnegative coordinates on two adjacent rays.
 
     Improper pairs embed as the negation of the mirrored proper pair, so the
-    collapse of the result always reproduces (lo, hi).
+    collapse of the result always reproduces (lo, hi).  Endpoints must be
+    finite.
     """
     order = _as_order(order)
     lo = float(lo)
     hi = float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"interval endpoints must be finite, got ({lo!r}, {hi!r})")
     if lo > hi:
         return -embed(-lo, -hi, order)
     n = int(order)
@@ -252,6 +258,23 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
             ),
         )
     return AlgebraElement(order, tuple(_embed_zero_cone(lo, hi, order)))
+
+
+def _point(v: float, order: AlgebraOrder, mode: ArithmeticMode) -> IntervalNumber:
+    """The point interval [v, v], as ``embed(v, v, order)`` builds it.
+
+    A finite point lies on one generator ray: coefficient v on [1, 1] when
+    v >= 0 (negative zero included), -v on [-1, -1] otherwise.  Collapsing
+    either form adds only exact zeros to v, so no neighbour probe is needed.
+    """
+    if not math.isfinite(v):
+        return IntervalNumber(mode, embed(v, v, order))
+    coeffs = [0.0] * int(order)
+    if v >= 0.0:
+        coeffs[0] = v
+    else:
+        coeffs[3] = -v
+    return IntervalNumber(mode, _element(order, tuple(coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +297,7 @@ class IntervalNumber:
     def order(self) -> AlgebraOrder:
         return self.element.order
 
-    @property
+    @cached_property
     def raw(self) -> GeneralizedInterval:
         return collapse(self.element)
 
@@ -323,14 +346,13 @@ class IntervalNumber:
                 raise ModeMismatchError(
                     f"mixed arithmetic modes: {self.mode.value} vs {other.mode.value}"
                 )
-            if other.order != self.order:
+            if other.order is not self.order:
                 raise OrderMismatchError(
                     f"mixed algebra orders: {int(self.order)} vs {int(other.order)}"
                 )
             return other
         if isinstance(other, (int, float)):
-            v = float(other)
-            return IntervalNumber(self.mode, embed(v, v, self.order))
+            return _point(float(other), self.order, self.mode)
         return None
 
     # -- arithmetic ---------------------------------------------------------
@@ -390,14 +412,17 @@ class IntervalNumber:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, float)):
-            other = IntervalNumber(self.mode, embed(float(other), float(other), self.order))
+            other = _point(float(other), self.order, self.mode)
         if not isinstance(other, IntervalNumber):
             return NotImplemented
         a, b = self.canonical, other.canonical
         return a.lo == b.lo and a.hi == b.hi
 
     def __hash__(self) -> int:
+        # A point interval equals its scalar, so it must hash like one.
         c = self.canonical
+        if c.lo == c.hi:
+            return hash(c.lo)
         return hash((c.lo, c.hi))
 
     def __lt__(self, other) -> bool:
@@ -412,18 +437,15 @@ class IntervalNumber:
     def __ge__(self, other) -> bool:
         return self._cmp(other) >= 0
 
-    def _as_interval_number(self, other) -> "IntervalNumber":
-        # comparisons and containment act on canonical pairs only, so they
-        # accept any mode/order combination (unlike arithmetic)
-        if isinstance(other, IntervalNumber):
-            return other
-        if isinstance(other, (int, float)):
-            v = float(other)
-            return IntervalNumber(self.mode, embed(v, v, self.order))
-        raise TypeError(f"cannot compare IntervalNumber with {type(other)!r}")
+    # Comparisons and containment act on canonical pairs only, so they
+    # accept any mode/order combination (unlike arithmetic).
 
     def _cmp(self, other) -> int:
-        return compare(self, self._as_interval_number(other))
+        if isinstance(other, (int, float)):
+            other = _point(float(other), self.order, self.mode)
+        elif not isinstance(other, IntervalNumber):
+            raise TypeError(f"cannot compare IntervalNumber with {type(other)!r}")
+        return compare(self, other)
 
     def contains(self, other) -> bool:
         """Set containment of the canonical intervals."""
@@ -431,8 +453,9 @@ class IntervalNumber:
             v = float(other)
             c = self.canonical
             return c.lo <= v <= c.hi
-        o = self._as_interval_number(other)
-        a, b = self.canonical, o.canonical
+        if not isinstance(other, IntervalNumber):
+            raise TypeError(f"cannot compare IntervalNumber with {type(other)!r}")
+        a, b = self.canonical, other.canonical
         return a.lo <= b.lo and b.hi <= a.hi
 
     def same_element(self, other: "IntervalNumber") -> bool:
@@ -479,7 +502,7 @@ def interval(
             raise ValueError("eps must be nonnegative")
         lo, hi = float(lo) - eps, float(lo) + eps
     elif hi is None:
-        hi = lo
+        return _point(float(lo), _as_order(order), mode)
     return IntervalNumber(mode, embed(float(lo), float(hi), order))
 
 

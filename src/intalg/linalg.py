@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraOrder
+from .algebra import AlgebraOrder, alg_mul
 from .errors import (
     ConvergenceError,
     ModeMismatchError,
@@ -139,11 +139,6 @@ class IntervalMatrix:
             raise ShapeMismatchError("matrix shapes differ")
         return IntervalMatrix(tuple(a - b for a, b in zip(self.rows, other.rows)))
 
-    def __mul__(self, other):
-        if isinstance(other, IntervalMatrix):
-            return matmul(self, other)
-        return NotImplemented
-
     def __matmul__(self, other):
         if isinstance(other, IntervalMatrix):
             return matmul(self, other)
@@ -175,12 +170,18 @@ def identity_matrix(
 
 
 def dot(u: IntervalVector, v: IntervalVector) -> IntervalNumber:
+    """Left-to-right sum of the entrywise products, accumulated as algebra
+    elements and wrapped as an interval number once."""
     if len(u) != len(v):
         raise ShapeMismatchError("vector lengths differ")
-    acc = u[0] * v[0]
+    head = u[0]
+    # Raises on mixed modes or orders as head * v[0] would; each vector is
+    # uniform, so the first pair speaks for all of them.
+    head._coerce(v[0])
+    acc = alg_mul(head.element, v[0].element)
     for a, b in zip(u.entries[1:], v.entries[1:]):
-        acc = acc + a * b
-    return acc
+        acc = acc + alg_mul(a.element, b.element)
+    return IntervalNumber(head.mode, acc)
 
 
 def matvec(m: IntervalMatrix, u: IntervalVector) -> IntervalVector:
@@ -225,10 +226,7 @@ def frob_sq(m: IntervalMatrix) -> IntervalNumber:
 
 def two_norm(u: IntervalVector) -> IntervalNumber:
     """Euclidean norm through the algebra: sqrt of the sum of squares."""
-    acc = u[0] * u[0]
-    for e in u.entries[1:]:
-        acc = acc + e * e
-    return sqrt(acc)
+    return sqrt(dot(u, u))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import struct
+
+from intalg import structure_table
 
 
 def ulp_scale(*values: float) -> float:
@@ -41,3 +44,48 @@ def vectors_close_ulps(u, v, n: int, scale: float | None = None) -> bool:
 
 def inf_norm(coeffs) -> float:
     return max(abs(c) for c in coeffs)
+
+
+def bits(values) -> bytes:
+    """IEEE-754 bytes of a float sequence: equal only when every bit is, so
+    0.0 and -0.0 differ."""
+    values = tuple(values)
+    return struct.pack(f"{len(values)}d", *values)
+
+
+# Special values for bit-for-bit comparisons: signed zeros, subnormals, the
+# smallest normal, and magnitudes whose products overflow or underflow.
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 0.5, 3.0,
+)
+
+
+def draw_float(rng) -> float:
+    """A special value, a number of random magnitude, or a plain uniform one."""
+    r = rng.random()
+    if r < 0.3:
+        return rng.choice(SPECIAL_FLOATS)
+    if r < 0.5:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300)
+    return rng.uniform(-5.0, 5.0)
+
+
+def reference_alg_mul(u, v) -> tuple[float, ...]:
+    """The algebra product as a direct walk over the structure table.
+
+    Kept as the oracle for the library's scheduled kernel: same terms, same
+    order of additions, so the two must agree bit for bit.
+    """
+    from intalg import structure_table
+
+    table = structure_table(u.order)
+    n = len(table)
+    a, b = u.coeffs, v.coeffs
+    out = [0.0] * n
+    for i in range(n):
+        row = table[i]
+        out[row[i]] += a[i] * b[i]
+        for j in range(i + 1, n):
+            out[row[j]] += a[i] * b[j] + a[j] * b[i]
+    return tuple(out)

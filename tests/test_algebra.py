@@ -2,7 +2,14 @@ import math
 import random
 
 import pytest
-from helpers import close_ulps, inf_norm, vectors_close_ulps
+from helpers import (
+    bits,
+    close_ulps,
+    draw_float,
+    inf_norm,
+    reference_alg_mul,
+    vectors_close_ulps,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -68,6 +75,18 @@ def test_only_three_orders_constructible():
         AlgebraElement(3, (1.0, 2.0, 3.0))
 
 
+def test_public_constructor_validates_and_normalizes():
+    with pytest.raises(ValueError):
+        AlgebraElement(4, (1.0, 2.0, 3.0))
+    with pytest.raises(ValueError):
+        AlgebraElement(5, (1.0,) * 7)
+    with pytest.raises(UnsupportedOrderError):
+        AlgebraElement(6, (1.0,) * 6)
+    u = AlgebraElement(7, (1, 2, 3, 4, 5, 6, True))
+    assert u.order is AlgebraOrder.ORDER_7
+    assert all(type(c) is float for c in u.coeffs)
+
+
 # -- product ------------------------------------------------------------------
 
 def test_mul_session_example():
@@ -96,6 +115,17 @@ def test_commutativity_exact(order):
     for _ in range(10_000):
         u, v = rand_elem(order, rng), rand_elem(order, rng)
         assert alg_mul(u, v).coeffs == alg_mul(v, u).coeffs
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_product_matches_table_walk_bit_for_bit(order):
+    rng = random.Random(order + 30)
+    for _ in range(10_000):
+        u = AlgebraElement(order, tuple(draw_float(rng) for _ in range(order)))
+        v = AlgebraElement(order, tuple(draw_float(rng) for _ in range(order)))
+        out = alg_mul(u, v)
+        assert bits(out.coeffs) == bits(reference_alg_mul(u, v)), (u, v)
+        assert out.order is u.order
 
 
 @pytest.mark.parametrize("order", ORDERS)

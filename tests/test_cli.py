@@ -92,6 +92,12 @@ def test_calc_division_error_exits_2(capsys):
     assert "division" in err and "[-1.0,2.0]" in err
 
 
+def test_calc_non_finite_literal_exits_2(capsys):
+    code, out, err = run_cli(capsys, "calc", "--let", "a=[0,1e400]", "a")
+    assert code == 2
+    assert out == "" and "finite" in err and "Traceback" not in err
+
+
 def test_calc_parse_error_position(capsys):
     code, _, err = run_cli(capsys, "calc", "x*+")
     assert code == 2

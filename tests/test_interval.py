@@ -1,8 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
-from helpers import close_ulps, inf_norm, leq_ulps, vectors_close_ulps
+from helpers import bits, close_ulps, draw_float, inf_norm, leq_ulps, vectors_close_ulps
 
 import intalg as ia
 from intalg import (
@@ -49,6 +50,70 @@ def test_embed_examples():
 def test_embed_order5_examples():
     assert embed(-2, 3, 5).coeffs == (0, 1.0, 0, 0, 2.0)
     assert embed(-4, 2, 5).coeffs == (0, 0, 2.0, 0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, order",
+    [
+        (math.nan, 1.0, 4),
+        (-math.inf, math.inf, 4),
+        (math.nan, 1.0, 5),
+        (-math.inf, math.inf, 5),
+        (math.nan, 1.0, 7),
+        (-math.inf, math.inf, 7),
+        (0.0, math.inf, 4),
+        (0.0, math.inf, 5),
+        (0.0, math.inf, 7),
+        (math.inf, math.inf, 4),
+    ],
+)
+def test_non_finite_endpoints_raise_domain_error(lo, hi, order):
+    with pytest.raises(DomainError, match="finite"):
+        embed(lo, hi, order)
+    with pytest.raises(DomainError, match="finite"):
+        interval(lo, hi, order=order)
+
+
+def test_non_finite_scalars_raise_domain_error():
+    x = interval(1, 2)
+    with pytest.raises(DomainError):
+        interval(math.inf)
+    with pytest.raises(DomainError):
+        x * math.inf
+    with pytest.raises(DomainError):
+        x + math.nan
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_point_intervals_match_embed_bit_for_bit(order):
+    # Scalar coercion, comparison and interval(c) share one closed-form
+    # point embedding; it must equal what the general embed builds.
+    point = sys.modules["intalg.interval"]._point
+    rng = random.Random(order + 40)
+    values = [draw_float(rng) for _ in range(10_000)] + [0, -7, 3]
+    for v in values:
+        want = embed(v, v, order)
+        for mode in (TRUE, SEM):
+            got = point(float(v), want.order, mode)
+            assert bits(got.element.coeffs) == bits(want.coeffs), v
+            assert got.mode is mode and got.order is want.order
+        assert bits(interval(v, order=order).element.coeffs) == bits(want.coeffs)
+
+
+def test_raw_is_collapsed_once(monkeypatch):
+    module = sys.modules["intalg.interval"]
+    calls = []
+
+    def counting_collapse(element):
+        calls.append(element)
+        return collapse(element)
+
+    monkeypatch.setattr(module, "collapse", counting_collapse)
+    x = interval(1, 2) - interval(3, 5)
+    first = x.raw
+    assert x.raw is first and first == collapse(x.element)
+    x.canonical, x.min, x.max, x.width, x.midpoint, x.norm, str(x), repr(x)
+    assert len(calls) == 1
 
 
 def test_embed_proper_is_nonnegative():
@@ -302,6 +367,16 @@ def test_equality_is_canonical_not_elementwise():
     assert x == y and x.same_element(y)
     assert x == z and not x.same_element(z)
     assert hash(x) == hash(z)
+
+
+def test_equal_values_hash_equal():
+    assert interval(2.0) == 2.0 and hash(interval(2.0)) == hash(2.0)
+    assert interval(-3) == -3 and hash(interval(-3)) == hash(-3)
+    assert interval(2.5, order=5) == interval(2.5, mode=SEM, order=7)
+    assert hash(interval(2.5, order=5)) == hash(interval(2.5, mode=SEM, order=7))
+    x, y = interval(-1, 2, order=4), interval(-1, 2, order=7)
+    assert x == y and hash(x) == hash(y)
+    assert len({interval(2.0), 2.0, interval(2.0, order=5)}) == 1
 
 
 # -- Minkowski oracle ---------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from helpers import close_ulps
+from helpers import bits, close_ulps
 
 import intalg as ia
 from intalg import (
@@ -73,6 +73,50 @@ def test_dot_and_shapes():
         dot(u, deg_vector((1.0, 2.0)))
     with pytest.raises(ShapeMismatchError):
         matmul(deg_matrix(M2), deg_matrix(M3))
+
+
+@pytest.mark.parametrize("order", (4, 5, 7))
+@pytest.mark.parametrize("mode", (TRUE, SEM))
+def test_dot_and_two_norm_match_per_entry_fold(order, mode):
+    # The fold through IntervalNumber operators is the definition; dot and
+    # two_norm accumulate algebra elements and must agree bit for bit.
+    # Entries avoid zero so that every sum of squares has a square root.
+    rng = random.Random(order)
+
+    def rand_vector(n):
+        return IntervalVector(
+            [
+                interval(
+                    rng.choice((-1, 1)) * rng.uniform(1, 9),
+                    eps=rng.uniform(0, 0.9),
+                    order=order,
+                    mode=mode,
+                )
+                for _ in range(n)
+            ]
+        )
+
+    for n in (1, 2, 5, 9):
+        u, v = rand_vector(n), rand_vector(n)
+        acc = u[0] * v[0]
+        for a, b in zip(u.entries[1:], v.entries[1:]):
+            acc = acc + a * b
+        got = dot(u, v)
+        assert bits(got.element.coeffs) == bits(acc.element.coeffs)
+        assert got.mode is mode
+        sq = u[0] * u[0]
+        for e in u.entries[1:]:
+            sq = sq + e * e
+        want = ia.sqrt(sq)
+        assert bits(two_norm(u).element.coeffs) == bits(want.element.coeffs)
+
+
+def test_dot_rejects_mixed_modes_and_orders():
+    u = deg_vector((1.0, 2.0))
+    with pytest.raises(ModeMismatchError):
+        dot(u, deg_vector((1.0, 2.0), mode=SEM))
+    with pytest.raises(ia.OrderMismatchError):
+        dot(u, deg_vector((1.0, 2.0), order=5))
 
 
 def test_transpose_and_matmul():
