@@ -227,6 +227,30 @@ def _embed_zero_cone(lo: float, hi: float, order: AlgebraOrder) -> list[float]:
     return _best_two_ray(order, lo, hi, 5, (2.0 * hi,), 2, _neighbors(-lo - 2.0 * hi))
 
 
+def _check_finite(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"interval endpoints must be finite, got ({lo!r}, {hi!r})")
+
+
+def _embed_point(lo: float, hi: float, order: AlgebraOrder) -> AlgebraElement:
+    """``embed(lo, hi, order)`` for finite ``lo == hi``, in closed form.
+
+    For a point the first pair the ray probe tries is already exact: v on
+    [1, 1] and the zero hi - lo on [0, 1] when v >= 0 (negative zero
+    included), -v on [-1, -1] and hi - lo on [-1, 0] otherwise.  Collapsing
+    adds only zeros to v.  Taking hi - lo rather than 0.0 keeps the sign of
+    that zero for the pair (0.0, -0.0).
+    """
+    coeffs = [0.0] * int(order)
+    if lo >= 0.0:
+        coeffs[0] = lo
+        coeffs[1] = hi - lo
+    else:
+        coeffs[3] = -hi
+        coeffs[2] = hi - lo
+    return _element(order, tuple(coeffs))
+
+
 def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement:
     """Embed an endpoint pair as nonnegative coordinates on two adjacent rays.
 
@@ -237,12 +261,11 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
     order = _as_order(order)
     lo = float(lo)
     hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"interval endpoints must be finite, got ({lo!r}, {hi!r})")
+    _check_finite(lo, hi)
+    if lo == hi:
+        return _embed_point(lo, hi, order)
     if lo > hi:
         return -embed(-lo, -hi, order)
-    n = int(order)
-    coeffs = [0.0] * n
     if lo >= 0.0:
         return AlgebraElement(
             order,
@@ -261,20 +284,9 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
 
 
 def _point(v: float, order: AlgebraOrder, mode: ArithmeticMode) -> IntervalNumber:
-    """The point interval [v, v], as ``embed(v, v, order)`` builds it.
-
-    A finite point lies on one generator ray: coefficient v on [1, 1] when
-    v >= 0 (negative zero included), -v on [-1, -1] otherwise.  Collapsing
-    either form adds only exact zeros to v, so no neighbour probe is needed.
-    """
-    if not math.isfinite(v):
-        return IntervalNumber(mode, embed(v, v, order))
-    coeffs = [0.0] * int(order)
-    if v >= 0.0:
-        coeffs[0] = v
-    else:
-        coeffs[3] = -v
-    return IntervalNumber(mode, _element(order, tuple(coeffs)))
+    """The point interval [v, v] for a scalar operand or ``interval(c)``."""
+    _check_finite(v, v)
+    return IntervalNumber(mode, _embed_point(v, v, order))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +424,11 @@ class IntervalNumber:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, float)):
-            other = _point(float(other), self.order, self.mode)
+            # The point [v, v] collapses to exactly (v, v), so no embedding
+            # is needed; nan equals nothing, inf only an overflowed interval.
+            v = float(other)
+            c = self.canonical
+            return c.lo == v and c.hi == v
         if not isinstance(other, IntervalNumber):
             return NotImplemented
         a, b = self.canonical, other.canonical

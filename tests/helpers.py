@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import struct
 
-from intalg import structure_table
+from intalg import generator_endpoints, structure_table
 
 
 def ulp_scale(*values: float) -> float:
@@ -77,8 +77,6 @@ def reference_alg_mul(u, v) -> tuple[float, ...]:
     Kept as the oracle for the library's scheduled kernel: same terms, same
     order of additions, so the two must agree bit for bit.
     """
-    from intalg import structure_table
-
     table = structure_table(u.order)
     n = len(table)
     a, b = u.coeffs, v.coeffs
@@ -89,3 +87,37 @@ def reference_alg_mul(u, v) -> tuple[float, ...]:
         for j in range(i + 1, n):
             out[row[j]] += a[i] * b[j] + a[j] * b[i]
     return tuple(out)
+
+
+def reference_point_embed(lo: float, hi: float, order: int) -> tuple[float, ...]:
+    """embed(lo, hi) for lo == hi as the general ray probe builds it.
+
+    Kept as the oracle for the library's closed-form point embedding: the
+    value goes on [1, 1] (v >= 0) or [-1, -1], and hi - lo and its four
+    nearest doubles are tried on the adjacent ray until the collapse is exact.
+    """
+    gens = generator_endpoints(order)
+    if lo >= 0.0:
+        idx_a, a, idx_b = 0, lo, 1
+    else:
+        idx_a, a, idx_b = 3, -hi, 2
+    b = hi - lo
+    down = math.nextafter(b, -math.inf)
+    up = math.nextafter(b, math.inf)
+    best, best_err = None, math.inf
+    for cand in (b, down, up, math.nextafter(down, -math.inf), math.nextafter(up, math.inf)):
+        if cand < 0.0:
+            continue
+        coeffs = [0.0] * len(gens)
+        coeffs[idx_a] = a
+        coeffs[idx_b] = cand
+        l2 = h2 = 0.0
+        for c, (glo, ghi) in zip(coeffs, gens):
+            l2 += c * glo
+            h2 += c * ghi
+        if l2 == lo and h2 == hi:
+            return tuple(coeffs)
+        err = abs(l2 - lo) + abs(h2 - hi)
+        if err < best_err:
+            best, best_err = coeffs, err
+    return tuple(best)

@@ -3,7 +3,15 @@ import random
 import sys
 
 import pytest
-from helpers import bits, close_ulps, draw_float, inf_norm, leq_ulps, vectors_close_ulps
+from helpers import (
+    bits,
+    close_ulps,
+    draw_float,
+    inf_norm,
+    leq_ulps,
+    reference_point_embed,
+    vectors_close_ulps,
+)
 
 import intalg as ia
 from intalg import (
@@ -82,22 +90,38 @@ def test_non_finite_scalars_raise_domain_error():
         x * math.inf
     with pytest.raises(DomainError):
         x + math.nan
+    with pytest.raises(DomainError):
+        x < math.inf
+    # Equality only compares endpoints: no finite interval equals nan or inf.
+    for order in ORDERS:
+        p = interval(2.0, order=order)
+        assert not p == math.nan and p != math.nan
+        assert not p == math.inf and not p == -math.inf
+    assert math.nan not in [x]
+    assert (interval(1e300) * 1e300) == math.inf
 
 
 @pytest.mark.parametrize("order", ORDERS)
-def test_point_intervals_match_embed_bit_for_bit(order):
-    # Scalar coercion, comparison and interval(c) share one closed-form
-    # point embedding; it must equal what the general embed builds.
+def test_point_embedding_matches_ray_probe_bit_for_bit(order):
+    # embed(v, v), scalar coercion, comparison and interval(c) share one
+    # closed-form point embedding; it must equal what the neighbour probe
+    # of the general embed built for the same pair.
     point = sys.modules["intalg.interval"]._point
     rng = random.Random(order + 40)
     values = [draw_float(rng) for _ in range(10_000)] + [0, -7, 3]
     for v in values:
-        want = embed(v, v, order)
+        want = bits(reference_point_embed(float(v), float(v), order))
+        assert bits(embed(v, v, order).coeffs) == want, v
         for mode in (TRUE, SEM):
-            got = point(float(v), want.order, mode)
-            assert bits(got.element.coeffs) == bits(want.coeffs), v
-            assert got.mode is mode and got.order is want.order
-        assert bits(interval(v, order=order).element.coeffs) == bits(want.coeffs)
+            got = point(float(v), ia.AlgebraOrder(order), mode)
+            assert bits(got.element.coeffs) == want, v
+            assert got.mode is mode and got.order is ia.AlgebraOrder(order)
+        assert bits(interval(v, order=order).element.coeffs) == want
+        assert bits(interval(v, v, order=order).element.coeffs) == want
+        assert bits(interval(v, eps=0, order=order).element.coeffs) == want
+    for lo, hi in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)):
+        want = bits(reference_point_embed(lo, hi, order))
+        assert bits(embed(lo, hi, order).coeffs) == want, (lo, hi)
 
 
 def test_raw_is_collapsed_once(monkeypatch):
