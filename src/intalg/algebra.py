@@ -160,12 +160,6 @@ class AlgebraElement:
     def scale(self, factor: float) -> "AlgebraElement":
         return _element(self.order, tuple(factor * c for c in self.coeffs))
 
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return alg_mul(self, other)
-
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs)
-
 
 def _element(order: AlgebraOrder, coeffs: tuple[float, ...]) -> AlgebraElement:
     """Build an element from an AlgebraOrder member and a tuple of floats of
@@ -244,18 +238,6 @@ def _split_inverse(pair: tuple[float, float]) -> tuple[float, float]:
     return (u / d, -v / d)
 
 
-def is_invertible(u: AlgebraElement) -> bool:
-    """True when the order-4 element has a multiplicative inverse."""
-    if u.order != AlgebraOrder.ORDER_4:
-        return False
-    s = to_split(u)
-    for x, y in (s.i1, s.i2):
-        d = x * x - y * y
-        if d == 0.0 or not math.isfinite(d):
-            return False
-    return True
-
-
 def alg_inv(u: AlgebraElement) -> AlgebraElement:
     """Multiplicative inverse of an order-4 element.
 
@@ -266,3 +248,12 @@ def alg_inv(u: AlgebraElement) -> AlgebraElement:
         raise UnsupportedOrderError("inversion is only defined at order 4")
     s = to_split(u)
     return from_split(SplitCoords(_split_inverse(s.i1), _split_inverse(s.i2)))
+
+
+def is_invertible(u: AlgebraElement) -> bool:
+    """True when ``alg_inv(u)`` succeeds: u has order 4 and an inverse."""
+    try:
+        alg_inv(u)
+    except (NotInvertibleError, UnsupportedOrderError):
+        return False
+    return True

@@ -11,14 +11,8 @@ from .errors import (
     ConvergenceError,
     DivisionNotAllowedError,
     DomainError,
-    EvalError,
-    ExprSyntaxError,
     IntalgError,
-    ModeMismatchError,
     NotInvertibleError,
-    OrderMismatchError,
-    ShapeMismatchError,
-    UnsupportedOrderError,
 )
 from .exprcalc import evaluate, parse
 from .interval import (
@@ -28,6 +22,7 @@ from .interval import (
     interval,
     mink_mul,
     parse_interval_literal,
+    write_trace_csv,
 )
 from .linalg import (
     IntervalMatrix,
@@ -38,24 +33,8 @@ from .linalg import (
     power_iterate,
     schulz_invert,
 )
-from .optimize import (
-    FdStyle,
-    OptimizerConfig,
-    gradient_descent,
-    newton_raphson,
-    write_trace_csv,
-)
+from .optimize import FdStyle, OptimizerConfig, gradient_descent, newton_raphson
 
-_INPUT_ERRORS = (
-    ExprSyntaxError,
-    EvalError,
-    ValueError,
-    OSError,
-    ShapeMismatchError,
-    ModeMismatchError,
-    OrderMismatchError,
-    UnsupportedOrderError,
-)
 _ALGO_ERRORS = (
     ConvergenceError,
     DivisionNotAllowedError,
@@ -209,13 +188,7 @@ def _cmd_eigen(args) -> int:
     )
     result = power_iterate(m, u0, args.iters)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("iter,lambda_lo,lambda_hi\n")
-            for rec in result.trace:
-                c = rec.x.canonical
-                fh.write(
-                    f"{rec.index},{format_number(c.lo)},{format_number(c.hi)}\n"
-                )
+        write_trace_csv(args.csv, result.trace)
     print(f"eigenvalue: {_fmt(args, result.eigenvalue)}")
     print("eigenvector:")
     for entry in result.eigenvector:
@@ -324,10 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except _ALGO_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return args.algo_exit
-    except _INPUT_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except IntalgError as err:
+    except (IntalgError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebra import AlgebraOrder
+from .algebra import AlgebraOrder, _as_order
 from .errors import EvalError, ExprSyntaxError
 from .interval import (
     ArithmeticMode,
@@ -349,7 +349,7 @@ def evaluate(
 ) -> IntervalNumber:
     """Evaluate an AST through interval arithmetic, never collapsing midway."""
     bindings = bindings or {}
-    order = AlgebraOrder(order)
+    order = _as_order(order)
     for name, value in bindings.items():
         if value.mode is not mode:
             raise EvalError(

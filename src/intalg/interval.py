@@ -52,8 +52,6 @@ __all__ = [
     "embed",
     "collapse",
     "compare",
-    "contains",
-    "scalar_add",
     "scalar_mul",
     "pow_int",
     "exp",
@@ -66,6 +64,9 @@ __all__ = [
     "format_number",
     "format_interval",
     "parse_interval_literal",
+    "IterationRecord",
+    "TRACE_CSV_HEADER",
+    "write_trace_csv",
 ]
 
 
@@ -542,16 +543,6 @@ def compare(x: IntervalNumber, y: IntervalNumber) -> int:
     return 0
 
 
-def contains(outer: GeneralizedInterval, inner: GeneralizedInterval) -> bool:
-    """Canonical set containment for endpoint pairs."""
-    a, b = outer.canonical, inner.canonical
-    return a.lo <= b.lo and b.hi <= a.hi
-
-
-def scalar_add(a: float, x: IntervalNumber) -> IntervalNumber:
-    return x + float(a)
-
-
 def scalar_mul(a: float, x: IntervalNumber) -> IntervalNumber:
     """Scale by a real: nonnegative factors scale coefficients directly."""
     a = float(a)
@@ -578,7 +569,13 @@ def pow_int(x: IntervalNumber, exponent: int) -> IntervalNumber:
 
 def _lift(fn: Callable[[float], float], x: IntervalNumber) -> IntervalNumber:
     r = x.raw
-    return IntervalNumber(x.mode, embed(fn(r.lo), fn(r.hi), x.order))
+    try:
+        lo, hi = fn(r.lo), fn(r.hi)
+    except OverflowError:
+        raise DomainError(
+            f"{fn.__name__} overflows on the endpoints ({r.lo!r}, {r.hi!r})"
+        ) from None
+    return IntervalNumber(x.mode, embed(lo, hi, x.order))
 
 
 def exp(x: IntervalNumber) -> IntervalNumber:
@@ -661,6 +658,39 @@ def format_interval(g: GeneralizedInterval, raw: bool = False) -> str:
         return f"({format_number(g.lo)},{format_number(g.hi)})"
     c = g.canonical
     return f"[{format_number(c.lo)},{format_number(c.hi)}]"
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    """One step of an iterative algorithm: its iterate x and, where the
+    algorithm evaluates an objective, f(x)."""
+
+    index: int
+    x: GeneralizedInterval
+    fx: GeneralizedInterval | None = None
+
+
+TRACE_CSV_HEADER = "iter,x_lo,x_hi,x_mid,x_width,f_lo,f_hi"
+
+
+def write_trace_csv(path: str, trace: tuple[IterationRecord, ...]) -> None:
+    """One row per iteration, 12 significant digits per value; the f columns
+    stay empty for records without f(x)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(TRACE_CSV_HEADER + "\n")
+        for rec in trace:
+            x = rec.x.canonical
+            fx = rec.fx.canonical if rec.fx is not None else None
+            cols = [
+                str(rec.index),
+                format_number(x.lo),
+                format_number(x.hi),
+                format_number(rec.x.midpoint),
+                format_number(rec.x.width),
+                format_number(fx.lo) if fx is not None else "",
+                format_number(fx.hi) if fx is not None else "",
+            ]
+            fh.write(",".join(cols) + "\n")
 
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

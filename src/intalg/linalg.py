@@ -20,12 +20,12 @@ from .errors import (
 from .interval import (
     ArithmeticMode,
     IntervalNumber,
+    IterationRecord,
     format_interval,
     interval,
     parse_interval_literal,
     sqrt,
 )
-from .optimize import IterationRecord
 
 __all__ = [
     "IntervalVector",
@@ -149,10 +149,6 @@ class IntervalMatrix:
     def scale(self, factor) -> "IntervalMatrix":
         return IntervalMatrix(tuple(r.scale(factor) for r in self.rows))
 
-    @property
-    def T(self) -> "IntervalMatrix":
-        return transpose(self)
-
 
 def identity_matrix(
     n: int,
@@ -269,14 +265,13 @@ def schulz_invert(
     m: IntervalMatrix,
     tol: float = 1e-12,
     max_iter: int = 100,
-    residuals: list[float] | None = None,
 ) -> IntervalMatrix:
     """Quadratic inverse iteration X <- X (2I - M X), seeded with M^T / sum(M_ij^2).
 
     Stops when every entry of M X has midpoint within ``tol`` of the identity.
     Requires true arithmetic: the cancellation in 2I - M X is what keeps the
-    iteration contracting.  ``residuals``, if given, collects the residual of
-    each candidate X for convergence diagnostics.
+    iteration contracting.  On failure the ConvergenceError carries the
+    residual of the last candidate X.
     """
     nrows, ncols = m.shape
     if nrows != ncols:
@@ -301,8 +296,6 @@ def schulz_invert(
             for i in range(n)
             for j in range(n)
         )
-        if residuals is not None:
-            residuals.append(resid)
         if resid < tol:
             return x
         x = matmul(x, two_i - p)

@@ -7,24 +7,15 @@ from enum import Enum
 from typing import Callable
 
 from .errors import ConvergenceError
-from .interval import (
-    ArithmeticMode,
-    GeneralizedInterval,
-    IntervalNumber,
-    format_number,
-    interval,
-)
+from .interval import ArithmeticMode, IntervalNumber, IterationRecord, interval
 
 __all__ = [
     "FdStyle",
     "OptimizerConfig",
-    "IterationRecord",
     "fd_first",
     "fd_second",
     "gradient_descent",
     "newton_raphson",
-    "write_trace_csv",
-    "TRACE_CSV_HEADER",
 ]
 
 IntervalFunction = Callable[[IntervalNumber], IntervalNumber]
@@ -61,13 +52,6 @@ class OptimizerConfig:
             raise ValueError("eps must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    index: int
-    x: GeneralizedInterval
-    fx: GeneralizedInterval | None = None
 
 
 def _check_style(x: IntervalNumber, style: FdStyle) -> None:
@@ -168,25 +152,3 @@ def newton_raphson(
         return x - fp / fpp
 
     return _descend(f, x0, cfg, step)
-
-
-TRACE_CSV_HEADER = "iter,x_lo,x_hi,x_mid,x_width,f_lo,f_hi"
-
-
-def write_trace_csv(path: str, trace: tuple[IterationRecord, ...]) -> None:
-    """One row per iteration, 12 significant digits per value."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_CSV_HEADER + "\n")
-        for rec in trace:
-            x = rec.x.canonical
-            fx = rec.fx.canonical if rec.fx is not None else None
-            cols = [
-                str(rec.index),
-                format_number(x.lo),
-                format_number(x.hi),
-                format_number(rec.x.midpoint),
-                format_number(rec.x.width),
-                format_number(fx.lo) if fx is not None else "",
-                format_number(fx.hi) if fx is not None else "",
-            ]
-            fh.write(",".join(cols) + "\n")

@@ -89,6 +89,23 @@ def reference_alg_mul(u, v) -> tuple[float, ...]:
     return tuple(out)
 
 
+def reference_is_invertible(u) -> bool:
+    """The invertibility test as a direct check of the split pairs.
+
+    Kept as the oracle for the library's ``is_invertible``, which asks
+    ``alg_inv`` instead: the element has order 4 and neither split pair
+    (a1, a4), (a1 + a2, a3 + a4) has a zero or non-finite x^2 - y^2.
+    """
+    if u.order != 4:
+        return False
+    a1, a2, a3, a4 = u.coeffs
+    for x, y in ((a1, a4), (a1 + a2, a3 + a4)):
+        d = x * x - y * y
+        if d == 0.0 or not math.isfinite(d):
+            return False
+    return True
+
+
 def reference_point_embed(lo: float, hi: float, order: int) -> tuple[float, ...]:
     """embed(lo, hi) for lo == hi as the general ray probe builds it.
 

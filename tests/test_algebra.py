@@ -8,6 +8,7 @@ from helpers import (
     draw_float,
     inf_norm,
     reference_alg_mul,
+    reference_is_invertible,
     vectors_close_ulps,
 )
 from hypothesis import given
@@ -230,6 +231,39 @@ def test_zero_containing_interval_not_invertible():
     assert not is_invertible(u)
     with pytest.raises(NotInvertibleError):
         alg_inv(u)
+
+
+def _draw_invertibility_case(order, rng):
+    """Coefficients that hit every branch of the singularity test: signed
+    zeros and small integers (split pairs with |x| == |y|), magnitudes near
+    1e200 (x^2 - y^2 not finite), and special or random floats."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        coeffs = [float(rng.randint(-3, 3)) * rng.choice((1.0, -1.0)) for _ in range(order)]
+    elif kind == 1:
+        coeffs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(198, 202) for _ in range(order)]
+    else:
+        coeffs = [draw_float(rng) for _ in range(order)]
+    if order == 4 and rng.random() < 0.3:
+        # put one split pair on a diagonal: a4 = +-a1, or a1 + a2 = +-(a3 + a4)
+        sign = rng.choice((1.0, -1.0))
+        if rng.random() < 0.5:
+            coeffs[3] = sign * coeffs[0]
+        else:
+            coeffs[2] = sign * (coeffs[0] + coeffs[1]) - coeffs[3]
+    return AlgebraElement(order, tuple(coeffs))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_is_invertible_matches_split_pair_predicate(order):
+    rng = random.Random(20260 + order)
+    answers = set()
+    for _ in range(10_000):
+        u = _draw_invertibility_case(order, rng)
+        want = reference_is_invertible(u)
+        assert is_invertible(u) is want, u.coeffs
+        answers.add(want)
+    assert answers == ({True, False} if order == 4 else {False})
 
 
 def test_unit_inverse_is_unit():

@@ -98,6 +98,12 @@ def test_calc_non_finite_literal_exits_2(capsys):
     assert out == "" and "finite" in err and "Traceback" not in err
 
 
+def test_calc_exp_overflow_exits_2(capsys):
+    code, out, err = run_cli(capsys, "calc", "exp([800,900])")
+    assert code == 2
+    assert out == "" and "exp overflows" in err and "Traceback" not in err
+
+
 def test_calc_parse_error_position(capsys):
     code, _, err = run_cli(capsys, "calc", "x*+")
     assert code == 2
@@ -193,6 +199,16 @@ def test_gradient_failure_exit_3_writes_trace(tmp_path, capsys):
     assert len(csv.read_text().splitlines()) == 7  # header + records 0..5
 
 
+def test_gradient_exp_overflow_exits_3(capsys):
+    # full-style descent with this step size diverges until exp overflows
+    code, out, err = run_cli(
+        capsys, "gradient", "--expr", "x*exp(x)", "--x0=-0.38±0.048",
+        "--rho", "0.7466", "--style", "full",
+    )
+    assert code == 3
+    assert out == "" and "exp overflows" in err
+
+
 def test_newton_cli(capsys):
     code, out, _ = run_cli(
         capsys, "newton", "--expr", "x*exp(x)", "--x0", "2±0.1", "--eps", "1e-10"
@@ -218,8 +234,11 @@ def test_eigen_demo(tmp_path, capsys):
     assert abs(sum(v1) / 2 - 0.4159736) < 1e-6
     assert abs(sum(v2) / 2 - 0.9093767) < 1e-6
     csv_lines = csv.read_text().splitlines()
-    assert csv_lines[0] == "iter,lambda_lo,lambda_hi"
+    assert csv_lines[0] == "iter,x_lo,x_hi,x_mid,x_width,f_lo,f_hi"
     assert len(csv_lines) == 11
+    last = csv_lines[-1].split(",")
+    assert last[0] == "10" and last[5:] == ["", ""]
+    assert (float(last[1]), float(last[2])) == (lam_lo, lam_hi)
 
 
 def test_invert_demo_session_values(capsys):

@@ -115,6 +115,11 @@ def test_eval_checks_binding_consistency():
         evaluate(parse("x"), {"x": interval(1, order=5)}, order=4)
 
 
+def test_eval_unsupported_order():
+    with pytest.raises(ia.UnsupportedOrderError):
+        evaluate(parse("1"), order=6)
+
+
 def test_eval_division_and_functions():
     b = interval(3, 4)
     assert evaluate(parse("b/b"), {"b": b}).canonical == ia.GeneralizedInterval(1, 1)

@@ -283,8 +283,25 @@ def test_schulz_identity():
 
 
 def test_schulz_residuals_monotone_decreasing():
+    # The residual of the k-th candidate is the one a run capped at k
+    # iterations reports; the last is that of the returned inverse.
+    m = deg_matrix(M3)
     residuals: list[float] = []
-    schulz_invert(deg_matrix(M3), residuals=residuals)
+    for max_iter in range(1, 100):
+        try:
+            inv = schulz_invert(m, max_iter=max_iter)
+        except ConvergenceError as err:
+            residuals.append(err.residual)
+            continue
+        p = matmul(m, inv)
+        residuals.append(
+            max(
+                abs(p[i, j].midpoint - (1.0 if i == j else 0.0))
+                for i in range(3)
+                for j in range(3)
+            )
+        )
+        break
     assert len(residuals) >= 5
     assert all(a > b for a, b in zip(residuals, residuals[1:]))
 
