@@ -169,14 +169,10 @@ def _load_matrix(args) -> IntervalMatrix:
     centers = DEMO_MATRICES[args.demo]
     eps = args.eps
     return IntervalMatrix(
-        tuple(
-            IntervalVector(
-                tuple(
-                    interval(c, eps=eps, order=args.order, mode=mode) for c in row
-                )
-            )
+        [
+            [interval(c, eps=eps, order=args.order, mode=mode) for c in row]
             for row in centers
-        )
+        ]
     )
 
 
@@ -184,7 +180,7 @@ def _cmd_eigen(args) -> int:
     m = _load_matrix(args)
     n = m.shape[0]
     u0 = IntervalVector(
-        tuple(interval(1.0, order=args.order, mode=m.mode) for _ in range(n))
+        [interval(1.0, order=args.order, mode=m.mode) for _ in range(n)]
     )
     result = power_iterate(m, u0, args.iters)
     if args.csv:

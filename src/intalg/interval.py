@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 from .algebra import (
     _GENERATORS,
@@ -116,116 +116,108 @@ class GeneralizedInterval:
 # Embedding and collapse
 # ---------------------------------------------------------------------------
 
-def _collapse_raw(order: AlgebraOrder, coeffs) -> tuple[float, float]:
+def collapse(element: AlgebraElement) -> GeneralizedInterval:
+    """Map a coefficient vector back to its endpoint pair (a lossy linear map).
+
+    Raises DomainError when an endpoint comes out NaN: coefficients that
+    overflowed to infinity meet as inf - inf or inf * 0.
+    """
     lo = 0.0
     hi = 0.0
-    for c, (glo, ghi) in zip(coeffs, _GENERATORS[order]):
+    for c, (glo, ghi) in zip(element.coeffs, _GENERATORS[element.order]):
         lo += c * glo
         hi += c * ghi
-    return lo, hi
-
-
-def collapse(element: AlgebraElement) -> GeneralizedInterval:
-    """Map a coefficient vector back to its endpoint pair (a lossy linear map)."""
-    lo, hi = _collapse_raw(element.order, element.coeffs)
+    if lo != lo or hi != hi:
+        raise DomainError(
+            f"element {element.coeffs!r} of order {int(element.order)} has no "
+            f"endpoints: its collapse ({lo!r}, {hi!r}) is NaN"
+        )
     return GeneralizedInterval(lo, hi)
 
 
-def _neighbors(value: float) -> Iterator[float]:
+def _neighbors(value: float) -> tuple[float, ...]:
     # The value itself first, then the four nearest doubles.
-    yield value
     down = math.nextafter(value, -math.inf)
     up = math.nextafter(value, math.inf)
-    yield down
-    yield up
-    yield math.nextafter(down, -math.inf)
-    yield math.nextafter(up, math.inf)
+    return (
+        value,
+        down,
+        up,
+        math.nextafter(down, -math.inf),
+        math.nextafter(up, math.inf),
+    )
 
 
-def _best_two_ray(
-    order: AlgebraOrder,
-    lo: float,
-    hi: float,
-    idx_a: int,
-    cands_a,
-    idx_b: int,
-    cands_b,
-) -> list[float]:
-    """Pick coefficients on two generator rays whose collapse best matches (lo, hi).
+# Cones of proper pairs lo < hi, as rows (g, ia, ib).  A pair lies in the
+# first cone with lo*g[1] - hi*g[0] >= 0, the side of the line through the
+# integer direction g that holds the cone; g's entries are 0, 1 or 2, so the
+# test never rounds.  Inside, the pair is a nonnegative combination of the
+# generators ia and ib.  The rows run lo >= 0, hi <= 0, then the cones that
+# hold zero from [0,1] to [-1,0]; the last gate, hi >= 0, is always met.
+_SIGNED_CONES = (
+    ((0, 1), 0, 1),  # [1,1] .. [0,1]
+    ((1, 0), 3, 2),  # [-1,-1] .. [-1,0]
+)
+_CONES = {
+    AlgebraOrder.ORDER_4: _SIGNED_CONES + (((-1, 0), 2, 1),),  # [0,1] .. [-1,0]
+    AlgebraOrder.ORDER_5: _SIGNED_CONES + (
+        ((-1, 1), 4, 1),  # [0,1] .. [-1,1]
+        ((-1, 0), 4, 2),  # [-1,1] .. [-1,0]
+    ),
+    AlgebraOrder.ORDER_7: _SIGNED_CONES + (
+        ((-1, 2), 6, 1),  # [0,1] .. [-1/2,1]
+        ((-1, 1), 6, 4),  # [-1/2,1] .. [-1,1]
+        ((-2, 1), 5, 4),  # [-1,1] .. [-1,1/2]
+        ((-1, 0), 5, 2),  # [-1,1/2] .. [-1,0]
+    ),
+}
 
-    The plain solve can land one ulp off an endpoint when an intermediate sum
-    ties; probing the neighboring doubles recovers the exact preimage in every
-    case observed, so the round trip collapse(embed(lo, hi)) stays exact.
+
+def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> AlgebraElement:
+    """Embed finite lo < hi as a*e_ia + b*e_ib on the rays of its cone.
+
+    When e_ib has a zero endpoint, the other endpoint's equation fixes a
+    alone; otherwise a comes from Cramer's rule.  b then solves the hi
+    equation, or the lo one where e_ib's hi endpoint is zero.
+    A plain solve can land one ulp off an endpoint when an intermediate sum
+    ties, so each solved coefficient is tried with its four neighbouring
+    doubles, and the first pair whose collapse is exact wins; failing that,
+    the closest one.
     """
-    n = int(order)
-    best: list[float] | None = None
+    for (g0, g1), ia, ib in _CONES[order]:
+        if lo * g1 - hi * g0 >= 0:
+            break
+    gens = _GENERATORS[order]
+    alo, ahi = gens[ia]
+    blo, bhi = gens[ib]
+    if blo == 0.0:
+        cands_a = (lo / alo,)
+    elif bhi == 0.0:
+        cands_a = (hi / ahi,)
+    else:
+        cands_a = _neighbors((lo * bhi - hi * blo) / (alo * bhi - ahi * blo))
+    best = None
     best_err = math.inf
     for a in cands_a:
         if a < 0.0:
             continue
-        for b in cands_b(a) if callable(cands_b) else cands_b:
+        for b in _neighbors((hi - a * ahi) / bhi if bhi else (lo - a * alo) / blo):
             if b < 0.0:
                 continue
-            coeffs = [0.0] * n
-            coeffs[idx_a] = a
-            coeffs[idx_b] = b
-            l2, h2 = _collapse_raw(order, coeffs)
-            if l2 == lo and h2 == hi:
-                return coeffs
-            err = abs(l2 - lo) + abs(h2 - hi)
+            err = abs(a * alo + b * blo - lo) + abs(a * ahi + b * bhi - hi)
             if err < best_err:
-                best_err = err
-                best = coeffs
+                best, best_err = (a, b), err
+                if err == 0.0:
+                    break
+        if best_err == 0.0:
+            break
     if best is None:
-        raise DomainError(f"no embedding of ({lo!r}, {hi!r}) found at order {n}")
-    return best
-
-
-def _embed_zero_cone(lo: float, hi: float, order: AlgebraOrder) -> list[float]:
-    # lo < 0 < hi strictly.  Generator rays fanning across the cone, sorted by
-    # -lo/hi slope; the gates below are exact float comparisons.
-    if order == AlgebraOrder.ORDER_4:
-        n = int(order)
-        coeffs = [0.0] * n
-        coeffs[1] = hi
-        coeffs[2] = -lo
-        return coeffs
-    if order == AlgebraOrder.ORDER_5:
-        if -lo <= hi:
-            # between [0,1] and [-1,1]: lo pins the e5 coefficient exactly
-            return _best_two_ray(order, lo, hi, 4, (-lo,), 1, _neighbors(hi + lo))
-        # between [-1,1] and [-1,0]: hi pins the e5 coefficient exactly
-        return _best_two_ray(order, lo, hi, 4, (hi,), 2, _neighbors(-lo - hi))
-    # order 7
-    if -2.0 * lo <= hi:
-        # between [0,1] and [-1/2,1]
-        return _best_two_ray(
-            order, lo, hi, 6, (-2.0 * lo,), 1, _neighbors(hi + 2.0 * lo)
+        raise DomainError(
+            f"no embedding of ({lo!r}, {hi!r}) found at order {int(order)}"
         )
-    if -lo <= hi:
-        # between [-1/2,1] and [-1,1]: both rays touch both endpoints
-        return _best_two_ray(
-            order,
-            lo,
-            hi,
-            6,
-            _neighbors(2.0 * (lo + hi)),
-            4,
-            lambda a: _neighbors(hi - a),
-        )
-    if -lo <= 2.0 * hi:
-        # between [-1,1] and [-1,1/2]
-        return _best_two_ray(
-            order,
-            lo,
-            hi,
-            5,
-            _neighbors(-2.0 * (lo + hi)),
-            4,
-            lambda a: _neighbors(hi - 0.5 * a),
-        )
-    # between [-1,1/2] and [-1,0]
-    return _best_two_ray(order, lo, hi, 5, (2.0 * hi,), 2, _neighbors(-lo - 2.0 * hi))
+    coeffs = [0.0] * len(gens)
+    coeffs[ia], coeffs[ib] = best
+    return _element(order, tuple(coeffs))
 
 
 def _check_finite(lo: float, hi: float) -> None:
@@ -255,9 +247,10 @@ def _embed_point(lo: float, hi: float, order: AlgebraOrder) -> AlgebraElement:
 def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement:
     """Embed an endpoint pair as nonnegative coordinates on two adjacent rays.
 
-    Improper pairs embed as the negation of the mirrored proper pair, so the
-    collapse of the result always reproduces (lo, hi).  Endpoints must be
-    finite.
+    Improper pairs embed as the negation of the mirrored proper pair.  The
+    collapse of the result gives points back exactly and other pairs within
+    one ulp per endpoint; depending on how the endpoints' magnitudes spread,
+    up to a few percent of pairs miss by that ulp.  Endpoints must be finite.
     """
     order = _as_order(order)
     lo = float(lo)
@@ -267,21 +260,7 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
         return _embed_point(lo, hi, order)
     if lo > hi:
         return -embed(-lo, -hi, order)
-    if lo >= 0.0:
-        return AlgebraElement(
-            order,
-            tuple(
-                _best_two_ray(order, lo, hi, 0, (lo,), 1, _neighbors(hi - lo))
-            ),
-        )
-    if hi <= 0.0:
-        return AlgebraElement(
-            order,
-            tuple(
-                _best_two_ray(order, lo, hi, 3, (-hi,), 2, _neighbors(hi - lo))
-            ),
-        )
-    return AlgebraElement(order, tuple(_embed_zero_cone(lo, hi, order)))
+    return _embed_proper(lo, hi, order)
 
 
 def _point(v: float, order: AlgebraOrder, mode: ArithmeticMode) -> IntervalNumber:

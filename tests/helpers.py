@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import struct
 
-from intalg import generator_endpoints, structure_table
+from intalg import AlgebraOrder, DomainError, generator_endpoints, structure_table
 
 
 def ulp_scale(*values: float) -> float:
@@ -106,35 +106,119 @@ def reference_is_invertible(u) -> bool:
     return True
 
 
-def reference_point_embed(lo: float, hi: float, order: int) -> tuple[float, ...]:
-    """embed(lo, hi) for lo == hi as the general ray probe builds it.
+def _neighbors(value: float):
+    # The value itself first, then the four nearest doubles.
+    yield value
+    down = math.nextafter(value, -math.inf)
+    up = math.nextafter(value, math.inf)
+    yield down
+    yield up
+    yield math.nextafter(down, -math.inf)
+    yield math.nextafter(up, math.inf)
 
-    Kept as the oracle for the library's closed-form point embedding: the
-    value goes on [1, 1] (v >= 0) or [-1, -1], and hi - lo and its four
-    nearest doubles are tried on the adjacent ray until the collapse is exact.
-    """
-    gens = generator_endpoints(order)
-    if lo >= 0.0:
-        idx_a, a, idx_b = 0, lo, 1
-    else:
-        idx_a, a, idx_b = 3, -hi, 2
-    b = hi - lo
-    down = math.nextafter(b, -math.inf)
-    up = math.nextafter(b, math.inf)
-    best, best_err = None, math.inf
-    for cand in (b, down, up, math.nextafter(down, -math.inf), math.nextafter(up, math.inf)):
-        if cand < 0.0:
+
+def _collapse_raw(order, coeffs) -> tuple[float, float]:
+    lo = 0.0
+    hi = 0.0
+    for c, (glo, ghi) in zip(coeffs, generator_endpoints(order)):
+        lo += c * glo
+        hi += c * ghi
+    return lo, hi
+
+
+def _best_two_ray(order, lo, hi, idx_a, cands_a, idx_b, cands_b) -> list[float]:
+    n = int(order)
+    best = None
+    best_err = math.inf
+    for a in cands_a:
+        if a < 0.0:
             continue
-        coeffs = [0.0] * len(gens)
-        coeffs[idx_a] = a
-        coeffs[idx_b] = cand
-        l2 = h2 = 0.0
-        for c, (glo, ghi) in zip(coeffs, gens):
-            l2 += c * glo
-            h2 += c * ghi
-        if l2 == lo and h2 == hi:
-            return tuple(coeffs)
-        err = abs(l2 - lo) + abs(h2 - hi)
-        if err < best_err:
-            best, best_err = coeffs, err
-    return tuple(best)
+        for b in cands_b(a) if callable(cands_b) else cands_b:
+            if b < 0.0:
+                continue
+            coeffs = [0.0] * n
+            coeffs[idx_a] = a
+            coeffs[idx_b] = b
+            l2, h2 = _collapse_raw(order, coeffs)
+            if l2 == lo and h2 == hi:
+                return coeffs
+            err = abs(l2 - lo) + abs(h2 - hi)
+            if err < best_err:
+                best_err = err
+                best = coeffs
+    if best is None:
+        raise DomainError(f"no embedding of ({lo!r}, {hi!r}) found at order {n}")
+    return best
+
+
+def _embed_zero_cone(lo: float, hi: float, order: AlgebraOrder) -> list[float]:
+    # lo < 0 < hi strictly.  Generator rays fanning across the cone, sorted by
+    # -lo/hi slope; the gates below are exact float comparisons.
+    if order == AlgebraOrder.ORDER_4:
+        n = int(order)
+        coeffs = [0.0] * n
+        coeffs[1] = hi
+        coeffs[2] = -lo
+        return coeffs
+    if order == AlgebraOrder.ORDER_5:
+        if -lo <= hi:
+            # between [0,1] and [-1,1]: lo pins the e5 coefficient exactly
+            return _best_two_ray(order, lo, hi, 4, (-lo,), 1, _neighbors(hi + lo))
+        # between [-1,1] and [-1,0]: hi pins the e5 coefficient exactly
+        return _best_two_ray(order, lo, hi, 4, (hi,), 2, _neighbors(-lo - hi))
+    # order 7
+    if -2.0 * lo <= hi:
+        # between [0,1] and [-1/2,1]
+        return _best_two_ray(
+            order, lo, hi, 6, (-2.0 * lo,), 1, _neighbors(hi + 2.0 * lo)
+        )
+    if -lo <= hi:
+        # between [-1/2,1] and [-1,1]: both rays touch both endpoints
+        return _best_two_ray(
+            order,
+            lo,
+            hi,
+            6,
+            _neighbors(2.0 * (lo + hi)),
+            4,
+            lambda a: _neighbors(hi - a),
+        )
+    if -lo <= 2.0 * hi:
+        # between [-1,1] and [-1,1/2]
+        return _best_two_ray(
+            order,
+            lo,
+            hi,
+            5,
+            _neighbors(-2.0 * (lo + hi)),
+            4,
+            lambda a: _neighbors(hi - 0.5 * a),
+        )
+    # between [-1,1/2] and [-1,0]
+    return _best_two_ray(order, lo, hi, 5, (2.0 * hi,), 2, _neighbors(-lo - 2.0 * hi))
+
+
+def reference_embed(lo: float, hi: float, order: int) -> tuple[float, ...]:
+    """The coefficients of embed(lo, hi, order) for finite endpoints, as the
+    hand-written per-cone ray probe builds them.
+
+    Kept as the oracle for the library's table-driven embedding kernel and
+    its closed-form point embedding.  Each cone has its own branch: one
+    coefficient is pinned by an endpoint (or solved, with its four nearest
+    doubles tried), the other is solved from the remaining endpoint and
+    probed the same way, and the first pair whose full collapse is exact
+    wins, else the closest.  Points take the lo >= 0 or hi <= 0 branch;
+    improper pairs are the negation of the mirrored proper pair.
+    """
+    order = AlgebraOrder(order)
+    lo = float(lo)
+    hi = float(hi)
+    if lo > hi:
+        return tuple(-c for c in reference_embed(-lo, -hi, order))
+    if lo >= 0.0:
+        coeffs = _best_two_ray(order, lo, hi, 0, (lo,), 1, _neighbors(hi - lo))
+    elif hi <= 0.0:
+        coeffs = _best_two_ray(order, lo, hi, 3, (-hi,), 2, _neighbors(hi - lo))
+    else:
+        coeffs = _embed_zero_cone(lo, hi, order)
+    return tuple(coeffs)

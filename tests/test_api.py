@@ -68,3 +68,14 @@ def _sibling_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", PEERS)
 def test_peer_modules_do_not_import_each_other(module):
     assert not _sibling_imports(module) & (set(PEERS) - {module})
+
+
+def test_no_assert_statements():
+    # python -O strips asserts; failures must raise a typed IntalgError.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found

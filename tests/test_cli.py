@@ -104,6 +104,19 @@ def test_calc_exp_overflow_exits_2(capsys):
     assert out == "" and "exp overflows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "expr",
+    (
+        "[1e200,1e201]*[1e200,1e201]",
+        "[-1e200,1e201]*[-1e200,1e201]-[1e300,1e301]*[1e300,1e301]",
+    ),
+)
+def test_calc_nan_result_exits_2(capsys, expr):
+    code, out, err = run_cli(capsys, "calc", expr)
+    assert code == 2
+    assert out == "" and "NaN" in err and "Traceback" not in err
+
+
 def test_calc_parse_error_position(capsys):
     code, _, err = run_cli(capsys, "calc", "x*+")
     assert code == 2
