@@ -6,6 +6,12 @@ generator whose interval equals their set product, so every structure
 constant is 0 or 1 and the whole table fits in a small index matrix.  The
 order-4 algebra splits into two ideals under a change of basis; that split
 form is what makes elements invertible component by component.
+
+The product runs one straight-line kernel per order, generated at import
+from the product schedule, which is read off the structure table.  Float
+addition does not associate, so the kernels' order of operations is part of
+the results the tests pin bit for bit: change the schedule or the generator
+and those results change with it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,12 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import NotInvertibleError, OrderMismatchError, UnsupportedOrderError
+from .errors import (
+    DomainError,
+    NotInvertibleError,
+    OrderMismatchError,
+    UnsupportedOrderError,
+)
 
 __all__ = [
     "AlgebraOrder",
@@ -101,6 +112,43 @@ _SCHEDULES = {
 }
 
 
+def _kernel_source(schedule: tuple[tuple[int, int, int], ...], n: int) -> str:
+    """Source of a straight-line product of two length-n coefficient tuples.
+
+    Coefficient k is ``0.0 + t1 + t2 + ...`` over the schedule's terms for k,
+    in schedule order, each cross pair written ``(a[i]*b[j] + a[j]*b[i])``:
+    the same float operations, in the same order, as accumulating the
+    schedule into zeros one term at a time.
+    """
+    terms = [["0.0"] for _ in range(n)]
+    for k, i, j in schedule:
+        terms[k].append(
+            f"a{i} * b{i}" if i == j else f"(a{i} * b{j} + a{j} * b{i})"
+        )
+    lines = [
+        "def kernel(a, b):",
+        "    " + ", ".join(f"a{i}" for i in range(n)) + " = a",
+        "    " + ", ".join(f"b{i}" for i in range(n)) + " = b",
+        "    return (",
+        *(f"        {' + '.join(t)}," for t in terms),
+        "    )",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _compile_kernel(order: AlgebraOrder):
+    n = int(order)
+    code = compile(
+        _kernel_source(_SCHEDULES[order], n), f"<alg_mul kernel, order {n}>", "exec"
+    )
+    namespace: dict = {}
+    exec(code, namespace)
+    return namespace["kernel"]
+
+
+_KERNELS = {order: _compile_kernel(order) for order in _SCHEDULES}
+
+
 def generator_endpoints(order: int | AlgebraOrder) -> tuple[tuple[float, float], ...]:
     """Endpoint pairs of the generator intervals, in coefficient order."""
     return _GENERATORS[_as_order(order)]
@@ -165,8 +213,9 @@ def _element(order: AlgebraOrder, coeffs: tuple[float, ...]) -> AlgebraElement:
     """Build an element from an AlgebraOrder member and a tuple of floats of
     its length, skipping the public constructor's conversion and checks."""
     element = object.__new__(AlgebraElement)
-    object.__setattr__(element, "order", order)
-    object.__setattr__(element, "coeffs", coeffs)
+    fields = element.__dict__
+    fields["order"] = order
+    fields["coeffs"] = coeffs
     return element
 
 
@@ -183,20 +232,15 @@ def alg_mul(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
 
     Terms are accumulated over unordered index pairs so that the result is
     bit-identical under argument swap (the tables are symmetric and float
-    addition of the two cross products commutes exactly).  The schedule walks
-    the pairs i ascending, then j ascending, into accumulators that start at
-    0.0: float addition does not associate, so this order of additions is
+    addition of the two cross products commutes exactly).  The generated
+    kernel adds the pairs i ascending, then j ascending, to sums that start
+    at 0.0: float addition does not associate, so this order of additions is
     part of the result, and the results are pinned bit for bit.
     """
-    _check_orders(u, v)
-    a, b = u.coeffs, v.coeffs
-    out = [0.0] * len(a)
-    for k, i, j in _SCHEDULES[u.order]:
-        if i == j:
-            out[k] += a[i] * b[i]
-        else:
-            out[k] += a[i] * b[j] + a[j] * b[i]
-    return _element(u.order, tuple(out))
+    order = u.order
+    if order is not v.order:
+        _check_orders(u, v)
+    return _element(order, _KERNELS[order](u.coeffs, v.coeffs))
 
 
 @dataclass(frozen=True)
@@ -227,33 +271,52 @@ def from_split(s: SplitCoords) -> AlgebraElement:
     return _element(AlgebraOrder.ORDER_4, (x1, x2 - x1, x3 - x4, x4))
 
 
-def _split_inverse(pair: tuple[float, float]) -> tuple[float, float]:
-    # Split-complex inverse: (u, v)^-1 = (u, -v) / (u^2 - v^2).
-    u, v = pair
+def _split_inverse(u: float, v: float) -> tuple[float, float]:
+    # Split-complex inverse: (u, v)^-1 = (u, -v) / (u^2 - v^2).  The squares
+    # are formed on the pair scaled by 2**-e, which brings its larger entry
+    # into [0.5, 1), so they neither underflow nor overflow.  The scaled
+    # quotients divide by d * 2**e, which scales them back with a single
+    # rounding, the one the unscaled formula makes.  A nonzero d is at least
+    # 2**-54, so for the tiniest pairs k lifts that divisor out of the
+    # subnormal range and ldexp(., k) scales back, raising OverflowError
+    # when a quotient is too large for a float.
+    e = math.frexp(max(abs(u), abs(v)))[1]
+    u = math.ldexp(u, -e)
+    v = math.ldexp(v, -e)
     d = u * u - v * v
     if d == 0.0 or not math.isfinite(d):
         raise NotInvertibleError(
             "element is not invertible: split component is singular"
         )
-    return (u / d, -v / d)
+    k = max(0, -960 - e)
+    d = math.ldexp(d, e + k)
+    return (math.ldexp(u / d, k), math.ldexp(-v / d, k))
 
 
 def alg_inv(u: AlgebraElement) -> AlgebraElement:
     """Multiplicative inverse of an order-4 element.
 
     Computed ideal by ideal in split coordinates; an element is invertible
-    exactly when neither split pair lies on a diagonal (|x| == |y|).
+    exactly when neither split pair lies on a diagonal (|x| == |y|).  An
+    invertible element whose inverse has an entry too large for a float
+    raises DomainError.
     """
     if u.order != AlgebraOrder.ORDER_4:
         raise UnsupportedOrderError("inversion is only defined at order 4")
     s = to_split(u)
-    return from_split(SplitCoords(_split_inverse(s.i1), _split_inverse(s.i2)))
+    try:
+        inv = from_split(SplitCoords(_split_inverse(*s.i1), _split_inverse(*s.i2)))
+        if all(map(math.isfinite, inv.coeffs)):
+            return inv
+    except OverflowError:
+        pass
+    raise DomainError(f"the inverse of element {u.coeffs} is too large for a float")
 
 
 def is_invertible(u: AlgebraElement) -> bool:
-    """True when ``alg_inv(u)`` succeeds: u has order 4 and an inverse."""
+    """True when ``alg_inv(u)`` succeeds: u has order 4 and a finite inverse."""
     try:
         alg_inv(u)
-    except (NotInvertibleError, UnsupportedOrderError):
+    except (NotInvertibleError, UnsupportedOrderError, DomainError):
         return False
     return True

@@ -259,7 +259,7 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
     if lo == hi:
         return _embed_point(lo, hi, order)
     if lo > hi:
-        return -embed(-lo, -hi, order)
+        return -_embed_proper(-lo, -hi, order)
     return _embed_proper(lo, hi, order)
 
 
@@ -474,6 +474,11 @@ def _divide(x: IntervalNumber, y: IntervalNumber) -> IntervalNumber:
             f"interval division not allowed: divisor {format_interval(y.raw)} "
             "is not invertible",
             divisor=y,
+        ) from None
+    except DomainError:
+        raise DomainError(
+            f"interval division overflows: the inverse of divisor "
+            f"{format_interval(y.raw)} is too large for a float"
         ) from None
     return IntervalNumber(x.mode, alg_mul(x.element, inv))
 

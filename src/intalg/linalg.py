@@ -7,9 +7,10 @@ nothing collapses to endpoints between operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraOrder, alg_mul
+from .algebra import AlgebraElement, AlgebraOrder, _element, alg_mul
 from .errors import (
     ConvergenceError,
     ModeMismatchError,
@@ -110,7 +111,8 @@ class IntervalMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ShapeMismatchError("matrix rows have unequal lengths")
-        _check_uniform(tuple(e for r in rows for e in r), "matrix")
+        # Each row is uniform, so the rows' first entries speak for all.
+        _check_uniform(tuple(r[0] for r in rows), "matrix")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -165,6 +167,22 @@ def identity_matrix(
     )
 
 
+def _dot(us: Sequence[AlgebraElement], vs: Sequence[AlgebraElement]) -> AlgebraElement:
+    """Left-to-right sum of ``alg_mul(us[k], vs[k])`` over k, one product per
+    term, accumulated as raw coefficients and wrapped as an element once.
+
+    The additions are those of folding the products with
+    ``AlgebraElement.__add__``.  Callers have checked that all elements share
+    one order.
+    """
+    products = map(alg_mul, us, vs)
+    first = next(products)
+    acc = first.coeffs
+    for p in products:
+        acc = tuple(map(add, acc, p.coeffs))
+    return _element(first.order, acc)
+
+
 def dot(u: IntervalVector, v: IntervalVector) -> IntervalNumber:
     """Left-to-right sum of the entrywise products, accumulated as algebra
     elements and wrapped as an interval number once."""
@@ -174,10 +192,10 @@ def dot(u: IntervalVector, v: IntervalVector) -> IntervalNumber:
     # Raises on mixed modes or orders as head * v[0] would; each vector is
     # uniform, so the first pair speaks for all of them.
     head._coerce(v[0])
-    acc = alg_mul(head.element, v[0].element)
-    for a, b in zip(u.entries[1:], v.entries[1:]):
-        acc = acc + alg_mul(a.element, b.element)
-    return IntervalNumber(head.mode, acc)
+    return IntervalNumber(
+        head.mode,
+        _dot([a.element for a in u.entries], [b.element for b in v.entries]),
+    )
 
 
 def matvec(m: IntervalMatrix, u: IntervalVector) -> IntervalVector:
@@ -199,25 +217,28 @@ def transpose(m: IntervalMatrix) -> IntervalMatrix:
 
 
 def matmul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
+    """Entry (i, j) is ``dot`` of row i of a and column j of b."""
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    bt = transpose(b)
+    head = a.rows[0][0]
+    # Each matrix is uniform, so the first pair speaks for all of them.
+    head._coerce(b.rows[0][0])
+    mode = head.mode
+    cols = [[e.element for e in col] for col in zip(*(r.entries for r in b.rows))]
     return IntervalMatrix(
         tuple(
-            IntervalVector(tuple(dot(row, col) for col in bt.rows))
-            for row in a.rows
+            IntervalVector(
+                tuple(IntervalNumber(mode, _dot(row, col)) for col in cols)
+            )
+            for row in ([e.element for e in r.entries] for r in a.rows)
         )
     )
 
 
 def frob_sq(m: IntervalMatrix) -> IntervalNumber:
     """Sum of squared entries (row-major, left to right)."""
-    acc = None
-    for row in m.rows:
-        for e in row:
-            sq = e * e
-            acc = sq if acc is None else acc + sq
-    return acc
+    flat = [e.element for r in m.rows for e in r.entries]
+    return IntervalNumber(m.mode, _dot(flat, flat))
 
 
 def two_norm(u: IntervalVector) -> IntervalNumber:

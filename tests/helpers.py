@@ -4,8 +4,19 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
+from fractions import Fraction
 
-from intalg import AlgebraOrder, DomainError, generator_endpoints, structure_table
+from intalg import (
+    AlgebraOrder,
+    DomainError,
+    IntervalMatrix,
+    IntervalNumber,
+    IntervalVector,
+    alg_mul,
+    generator_endpoints,
+    structure_table,
+)
 
 
 def ulp_scale(*values: float) -> float:
@@ -104,6 +115,91 @@ def reference_is_invertible(u) -> bool:
         if d == 0.0 or not math.isfinite(d):
             return False
     return True
+
+
+def reference_alg_inv(u) -> tuple[float, ...]:
+    """The order-4 inverse with each split pair's x^2 - y^2 formed unscaled.
+
+    Kept as the oracle for the library's scaled split inverse where
+    ``split_squares_in_range`` holds: there the scaling is exact and the
+    two must agree bit for bit.
+    """
+    a1, a2, a3, a4 = u.coeffs
+    inverse = []
+    for x, y in ((a1, a4), (a1 + a2, a3 + a4)):
+        d = x * x - y * y
+        inverse.append((x / d, -y / d))
+    (x1, x4), (x2, x3) = inverse
+    return (x1, x2 - x1, x3 - x4, x4)
+
+
+def split_squares_in_range(u) -> bool:
+    """True when the squares of every order-4 split coordinate of u are
+    zero or normal finite floats, so x*x - y*y neither underflows nor
+    overflows and ``reference_is_invertible`` decides u exactly."""
+    a1, a2, a3, a4 = u.coeffs
+    return all(
+        s == 0.0 or sys.float_info.min <= s * s < math.inf
+        for s in (a1, a4, a1 + a2, a3 + a4)
+    )
+
+
+def exact_is_invertible(u) -> bool:
+    """Invertibility decided in rational arithmetic.
+
+    True when u has order 4, neither split pair (x, y) (the float
+    coordinates a1, a4 and a1 + a2, a3 + a4) has x^2 == y^2 exactly, and
+    every coefficient of the exact inverse rounds to a finite float.
+    """
+    if u.order != 4:
+        return False
+    a1, a2, a3, a4 = u.coeffs
+    inverse = []
+    for x, y in ((a1, a4), (a1 + a2, a3 + a4)):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False
+        d = Fraction(x) ** 2 - Fraction(y) ** 2
+        if d == 0:
+            return False
+        inverse.append((Fraction(x) / d, -Fraction(y) / d))
+    (x1, x4), (x2, x3) = inverse
+    try:
+        for c in (x1, x2 - x1, x3 - x4, x4):
+            float(c)
+    except OverflowError:
+        return False
+    return True
+
+
+def _reference_dot(u, v):
+    # The per-term fold: one alg_mul per pair, summed with AlgebraElement.__add__.
+    acc = alg_mul(u[0].element, v[0].element)
+    for a, b in zip(u.entries[1:], v.entries[1:]):
+        acc = acc + alg_mul(a.element, b.element)
+    return IntervalNumber(u[0].mode, acc)
+
+
+def reference_matmul(a, b):
+    """The matrix product as transpose, then one fold per entry.
+
+    Kept as the oracle for the library's matmul, matvec, dot and frob_sq,
+    which accumulate raw coefficient tuples instead: same products, same
+    order of additions, so they must agree bit for bit.  Vectors pass as
+    one-column matrices.
+    """
+    nrows, ncols = b.shape
+    bt = IntervalMatrix(
+        tuple(
+            IntervalVector(tuple(b.rows[i][j] for i in range(nrows)))
+            for j in range(ncols)
+        )
+    )
+    return IntervalMatrix(
+        tuple(
+            IntervalVector(tuple(_reference_dot(row, col) for col in bt.rows))
+            for row in a.rows
+        )
+    )
 
 
 def _neighbors(value: float):

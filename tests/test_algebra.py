@@ -1,14 +1,21 @@
+import ast
+import inspect
 import math
 import random
+import sys
+import textwrap
 
 import pytest
 from helpers import (
     bits,
     close_ulps,
     draw_float,
+    exact_is_invertible,
     inf_norm,
+    reference_alg_inv,
     reference_alg_mul,
     reference_is_invertible,
+    split_squares_in_range,
     vectors_close_ulps,
 )
 from hypothesis import given
@@ -17,6 +24,7 @@ from hypothesis import strategies as st
 from intalg import (
     AlgebraElement,
     AlgebraOrder,
+    DomainError,
     NotInvertibleError,
     OrderMismatchError,
     SplitCoords,
@@ -127,6 +135,19 @@ def test_product_matches_table_walk_bit_for_bit(order):
         out = alg_mul(u, v)
         assert bits(out.coeffs) == bits(reference_alg_mul(u, v)), (u, v)
         assert out.order is u.order
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_product_kernel_is_straight_line(order):
+    # alg_mul and the kernel generated from the schedule run no Python loop.
+    algebra = sys.modules["intalg.algebra"]
+    schedule = algebra._SCHEDULES[AlgebraOrder(order)]
+    for source in (
+        textwrap.dedent(inspect.getsource(alg_mul)),
+        algebra._kernel_source(schedule, order),
+    ):
+        loops = (ast.For, ast.While, ast.comprehension)
+        assert not any(isinstance(node, loops) for node in ast.walk(ast.parse(source)))
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -256,14 +277,63 @@ def _draw_invertibility_case(order, rng):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_is_invertible_matches_split_pair_predicate(order):
+    # Where the split squares stay in the float range the float predicate is
+    # exact; elsewhere (coefficients near 1e200, subnormals) the rational one
+    # decides, since the library scales each pair before squaring it.
     rng = random.Random(20260 + order)
     answers = set()
     for _ in range(10_000):
         u = _draw_invertibility_case(order, rng)
-        want = reference_is_invertible(u)
+        in_range = order != 4 or split_squares_in_range(u)
+        want = reference_is_invertible(u) if in_range else exact_is_invertible(u)
         assert is_invertible(u) is want, u.coeffs
-        answers.add(want)
-    assert answers == ({True, False} if order == 4 else {False})
+        answers.add((in_range, want))
+    if order == 4:
+        assert answers == {(True, True), (True, False), (False, True), (False, False)}
+    else:
+        assert answers == {(True, False)}
+
+
+def test_inverse_matches_unscaled_formula_bit_for_bit():
+    # Scaling a split pair by a power of two before squaring it changes no
+    # bit of the inverse while the unscaled squares stay in range.
+    rng = random.Random(77)
+    checked = 0
+    for _ in range(20_000):
+        u = AlgebraElement(
+            4,
+            [
+                rng.choice((-1.0, 1.0, 0.0)) * rng.random() * 10.0 ** rng.randint(-150, 150)
+                for _ in range(4)
+            ],
+        )
+        if not (split_squares_in_range(u) and reference_is_invertible(u)):
+            continue
+        assert bits(alg_inv(u).coeffs) == bits(reference_alg_inv(u)), u.coeffs
+        checked += 1
+    assert checked > 15_000
+
+
+@pytest.mark.parametrize("lo, hi", ((1e-170, 2e-170), (1e160, 2e160), (3e-300, 1e-299)))
+def test_inverse_where_unscaled_squares_leave_the_float_range(lo, hi):
+    # Each split coordinate of the embedding of [lo, hi] squares to 0 or inf.
+    u = elem(4, lo, hi - lo, 0, 0)
+    assert not split_squares_in_range(u) and not reference_is_invertible(u)
+    s = to_split(alg_inv(u))
+    (x1, x4), (x2, x3) = s.i1, s.i2
+    assert close_ulps(x1, 1 / lo, 2) and close_ulps(x2, 1 / hi, 2)
+    assert x3 == 0.0 and x4 == 0.0
+
+
+def test_overflowing_inverse_is_a_domain_error():
+    u = elem(4, 1e-320, 1e-320, 0, 0)  # the embedding of [1e-320, 2e-320]
+    assert exact_is_invertible(u) is False and is_invertible(u) is False
+    with pytest.raises(DomainError, match="too large"):
+        alg_inv(u)
+    huge = elem(4, 1e-308, -2e-308, 0, 0)  # split inverse finite, x2 - x1 not
+    assert is_invertible(huge) is False
+    with pytest.raises(DomainError):
+        alg_inv(huge)
 
 
 def test_unit_inverse_is_unit():

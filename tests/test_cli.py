@@ -92,6 +92,24 @@ def test_calc_division_error_exits_2(capsys):
     assert "division" in err and "[-1.0,2.0]" in err
 
 
+@pytest.mark.parametrize(
+    "expr, want",
+    (("1/[1e-170,2e-170]", "[5e+169,1e+170]"), ("1/[1e160,2e160]", "[5e-161,1e-160]")),
+)
+def test_calc_divides_by_tiny_and_huge_intervals(capsys, expr, want):
+    # x^2 - y^2 of these divisors under- or overflows unless scaled first.
+    code, out, err = run_cli(capsys, "calc", expr)
+    assert code == 0 and err == ""
+    assert out.strip() == want
+
+
+def test_calc_overflowing_inverse_exits_2(capsys):
+    code, out, err = run_cli(capsys, "calc", "1/[1e-320,2e-320]")
+    assert code == 2
+    assert out == "" and "too large" in err and "Traceback" not in err
+    assert "divisor [9.99988867183e-321,1.99997773437e-320]" in err
+
+
 def test_calc_non_finite_literal_exits_2(capsys):
     code, out, err = run_cli(capsys, "calc", "--let", "a=[0,1e400]", "a")
     assert code == 2

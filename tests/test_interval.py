@@ -158,6 +158,24 @@ def test_embed_matches_cone_probe_bit_for_bit(order):
         assert bits(embed(lo, hi, order).coeffs) == want, (lo, hi)
 
 
+def test_improper_pair_is_embedded_once(monkeypatch):
+    # The mirrored proper pair goes straight to the kernel, not back through
+    # the public embed with its conversions and finiteness check.
+    module = sys.modules["intalg.interval"]
+    calls = []
+
+    def counting_embed(*args):
+        calls.append(args)
+        return embed(*args)
+
+    monkeypatch.setattr(module, "embed", counting_embed)
+    for order in ORDERS:
+        calls.clear()
+        x = interval(3, 1, order=order)
+        assert calls == [(3.0, 1.0, order)]
+        assert bits(x.element.coeffs) == bits(reference_embed(3.0, 1.0, order))
+
+
 def test_raw_is_collapsed_once(monkeypatch):
     module = sys.modules["intalg.interval"]
     calls = []

@@ -1,8 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
-from helpers import bits, close_ulps
+from helpers import SPECIAL_FLOATS, bits, close_ulps, draw_float, reference_matmul
 
 import intalg as ia
 from intalg import (
@@ -111,12 +112,112 @@ def test_dot_and_two_norm_match_per_entry_fold(order, mode):
         assert bits(two_norm(u).element.coeffs) == bits(want.element.coeffs)
 
 
+def _oracle_entry(order, mode, rng, plain):
+    # Raw elements as well as embeddings: signed zeros, subnormals and
+    # 1e200-scale coefficients whose products overflow.  Plain entries are
+    # embeddings of moderate intervals, so that sums stay finite and the
+    # order of additions shows in their last bits.
+    r = 1.0 if plain else rng.random()
+    if r < 0.4:
+        coeffs = [draw_float(rng) for _ in range(order)]
+    elif r < 0.6:
+        coeffs = [rng.choice(SPECIAL_FLOATS) for _ in range(order)]
+    elif r < 0.7:
+        coeffs = [rng.uniform(-1.0, 1.0) * 1e200 for _ in range(order)]
+    else:
+        lo, hi = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        return interval(lo, hi, order=order, mode=mode)
+    return ia.IntervalNumber(mode, ia.AlgebraElement(order, coeffs))
+
+
+def _oracle_matrix(nrows, ncols, order, mode, rng, plain):
+    return IntervalMatrix(
+        [
+            [_oracle_entry(order, mode, rng, plain) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+    )
+
+
+def _matrix_bits(m):
+    return [bits(e.element.coeffs) for row in m.rows for e in row]
+
+
+@pytest.mark.parametrize("order", (4, 5, 7))
+@pytest.mark.parametrize("mode", (TRUE, SEM))
+def test_matrix_kernels_match_per_entry_fold_bit_for_bit(order, mode):
+    # matmul, matvec, dot and frob_sq sum raw coefficient tuples; the oracle
+    # transposes and folds alg_mul with AlgebraElement.__add__ per entry.
+    rng = random.Random(100 * order + (mode is SEM))
+    for trial in range(40):
+        plain = trial % 2 == 1
+        n, k, p = (rng.randint(1, 5) for _ in range(3))
+        a = _oracle_matrix(n, k, order, mode, rng, plain)
+        b = _oracle_matrix(k, p, order, mode, rng, plain)
+        want = _matrix_bits(reference_matmul(a, b))
+        assert _matrix_bits(matmul(a, b)) == want
+        assert _matrix_bits(a @ b) == want
+        u = IntervalVector([_oracle_entry(order, mode, rng, plain) for _ in range(k)])
+        column = IntervalMatrix([[e] for e in u])
+        assert [bits(e.element.coeffs) for e in matvec(a, u)] == _matrix_bits(
+            reference_matmul(a, column)
+        )
+        assert [bits(dot(a.rows[0], u).element.coeffs)] == _matrix_bits(
+            reference_matmul(IntervalMatrix([a.rows[0]]), column)
+        )
+        flat = [e for r in a.rows for e in r]
+        assert [bits(frob_sq(a).element.coeffs)] == _matrix_bits(
+            reference_matmul(IntervalMatrix([flat]), IntervalMatrix([[e] for e in flat]))
+        )
+        assert matmul(a, b).mode is mode and frob_sq(a).mode is mode
+
+
+def _count_products(monkeypatch):
+    # Wrap every module binding of alg_mul the way the benchmark's tracer does.
+    calls = []
+    for name in ("intalg.linalg", "intalg.algebra", "intalg.interval"):
+        module = sys.modules[name]
+        original = module.alg_mul
+
+        def counted(u, v, _original=original):
+            calls.append(1)
+            return _original(u, v)
+
+        monkeypatch.setattr(module, "alg_mul", counted)
+    return calls
+
+
+def test_products_per_matmul_and_dot(monkeypatch):
+    # One alg_mul per term: 27 for a 3x3 product, n for a length-n dot.
+    m = IntervalMatrix(
+        [[interval(i + 2.0 * j + 1.0, eps=0.01) for j in range(3)] for i in range(3)]
+    )
+    calls = _count_products(monkeypatch)
+    for product in (ia.matmul, sys.modules["intalg.linalg"].matmul, lambda a, b: a @ b):
+        calls.clear()
+        product(m, m)
+        assert len(calls) == 27
+    for n in (1, 2, 7):
+        u = deg_vector([float(i + 1) for i in range(n)])
+        calls.clear()
+        dot(u, u)
+        assert len(calls) == n
+    calls.clear()
+    frob_sq(m)
+    assert len(calls) == 9
+
+
 def test_dot_rejects_mixed_modes_and_orders():
     u = deg_vector((1.0, 2.0))
     with pytest.raises(ModeMismatchError):
         dot(u, deg_vector((1.0, 2.0), mode=SEM))
     with pytest.raises(ia.OrderMismatchError):
         dot(u, deg_vector((1.0, 2.0), order=5))
+    m = deg_matrix(M2)
+    with pytest.raises(ModeMismatchError):
+        matmul(m, deg_matrix(M2, mode=SEM))
+    with pytest.raises(ia.OrderMismatchError):
+        matmul(m, deg_matrix(M2, order=5))
 
 
 def test_transpose_and_matmul():
@@ -164,6 +265,11 @@ def test_vector_matrix_validation():
         IntervalVector([interval(1), interval(2, mode=SEM)])
     with pytest.raises(ShapeMismatchError):
         IntervalMatrix([[interval(1)], [interval(1), interval(2)]])
+    # Rows that are uniform each but differ from one another.
+    with pytest.raises(ModeMismatchError, match="matrix"):
+        IntervalMatrix([[interval(1), interval(2)], [interval(1, mode=SEM)] * 2])
+    with pytest.raises(ia.OrderMismatchError, match="matrix"):
+        IntervalMatrix([[interval(1)], [interval(1)], [interval(1, order=5)]])
 
 
 # -- two_norm -----------------------------------------------------------------
