@@ -17,7 +17,6 @@ and those results change with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import (
@@ -39,6 +38,70 @@ __all__ = [
     "to_split",
     "from_split",
 ]
+
+
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields with class annotations, in order, and gets
+    what a frozen dataclass gives: equality and hashing over the field values
+    (only against the same class), a ``Name(field=value, ...)`` repr, and
+    assignment and deletion that raise AttributeError.  A subclass that does
+    not define ``__init__`` gets a generated one taking the fields in order,
+    with class-attribute values as defaults, that calls ``__post_init__``
+    when the class defines one.  Fields are instance attributes, stored with
+    ``object.__setattr__``, which pickling and copying restore directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _field_init(cls)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+
+def _field_init(cls):
+    """The generated ``__init__`` of a record class.
+
+    Storing each field by name with ``object.__setattr__`` keeps CPython's
+    compact instance layout, so field reads stay fast, and a constructor
+    with literal names runs faster than a loop over ``_fields``.
+    """
+    names = cls._fields
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+    body = [f"    _set(self, {n!r}, {n})" for n in names]
+    if "__post_init__" in cls.__dict__:
+        body.append("    self.__post_init__()")
+    source = "\n".join([f"def __init__(self, {params}):", *body])
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 class AlgebraOrder(IntEnum):
@@ -159,8 +222,7 @@ def structure_table(order: int | AlgebraOrder) -> tuple[tuple[int, ...], ...]:
     return _TABLES[_as_order(order)]
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(_Record):
     """A coefficient vector over the generator basis of one fixed algebra.
 
     Coefficients may be negative: differences of embedded intervals leave the
@@ -170,14 +232,14 @@ class AlgebraElement:
     order: AlgebraOrder
     coeffs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        order = _as_order(self.order)
-        object.__setattr__(self, "order", order)
-        coeffs = tuple(float(c) for c in self.coeffs)
+    def __init__(self, order: int | AlgebraOrder, coeffs) -> None:
+        order = _as_order(order)
+        coeffs = tuple(float(c) for c in coeffs)
         if len(coeffs) != int(order):
             raise ValueError(
                 f"expected {int(order)} coefficients, got {len(coeffs)}"
             )
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -243,8 +305,7 @@ def alg_mul(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return _element(order, _KERNELS[order](u.coeffs, v.coeffs))
 
 
-@dataclass(frozen=True)
-class SplitCoords:
+class SplitCoords(_Record):
     """Order-4 element in the basis that splits the algebra into two ideals.
 
     ``i1`` holds the pair coupling coefficients 1 and 4, ``i2`` the pair

@@ -16,10 +16,9 @@ the right and are folded at parse time.  Positions in errors are 1-based.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebra import AlgebraOrder, _as_order
+from .algebra import AlgebraOrder, _as_order, _Record
 from .errors import EvalError, ExprSyntaxError
 from .interval import (
     ArithmeticMode,
@@ -55,42 +54,35 @@ FUNCTIONS = {
 _MAX_EXPONENT = 1_000_000
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(_Record):
     value: float
 
 
-@dataclass(frozen=True)
-class IntervalLit:
+class IntervalLit(_Record):
     lo: float
     hi: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(_Record):
     operand: "ExprNode"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(_Record):
     op: str  # one of + - * /
     left: "ExprNode"
     right: "ExprNode"
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(_Record):
     base: "ExprNode"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(_Record):
     func: str
     arg: "ExprNode"
 
@@ -102,8 +94,7 @@ ExprNode = Union[Num, IntervalLit, Var, Neg, BinOp, Power, Call]
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(_Record):
     kind: str
     text: str
     pos: int  # 1-based

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 from .algebra import (
@@ -32,6 +30,7 @@ from .algebra import (
     AlgebraOrder,
     _as_order,
     _element,
+    _Record,
     alg_inv,
     alg_mul,
 )
@@ -75,16 +74,15 @@ class ArithmeticMode(Enum):
     TRUE = "true"
 
 
-@dataclass(frozen=True)
-class GeneralizedInterval:
+class GeneralizedInterval(_Record):
     """An endpoint pair; improper (lo > hi) pairs are allowed."""
 
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+    def __init__(self, lo: float, hi: float) -> None:
+        object.__setattr__(self, "lo", float(lo))
+        object.__setattr__(self, "hi", float(hi))
 
     @property
     def is_proper(self) -> bool:
@@ -273,8 +271,20 @@ def _point(v: float, order: AlgebraOrder, mode: ArithmeticMode) -> IntervalNumbe
 # Interval numbers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class IntervalNumber:
+class _Collapsed:
+    """``IntervalNumber.raw``: the element's collapse, computed on the first
+    read and stored as an instance attribute, which shadows this non-data
+    descriptor on every later read."""
+
+    def __get__(self, x, owner=None):
+        if x is None:
+            return self
+        raw = collapse(x.element)
+        object.__setattr__(x, "raw", raw)
+        return raw
+
+
+class IntervalNumber(_Record):
     """An algebra element tagged with an arithmetic mode.
 
     Values are immutable; equality and ordering act on the canonical endpoint
@@ -289,9 +299,7 @@ class IntervalNumber:
     def order(self) -> AlgebraOrder:
         return self.element.order
 
-    @cached_property
-    def raw(self) -> GeneralizedInterval:
-        return collapse(self.element)
+    raw = _Collapsed()
 
     @property
     def canonical(self) -> GeneralizedInterval:
@@ -467,8 +475,15 @@ def _divide(x: IntervalNumber, y: IntervalNumber) -> IntervalNumber:
         raise UnsupportedOrderError(
             f"interval division is only defined at order 4 (got order {int(x.order)})"
         )
+    return IntervalNumber(x.mode, alg_mul(x.element, _reciprocal(y)))
+
+
+def _reciprocal(y: IntervalNumber) -> AlgebraElement:
+    """``alg_inv`` of an order-4 divisor's element, its failures reported
+    against the divisor: DivisionNotAllowedError when y is not invertible,
+    DomainError when the inverse is too large for a float."""
     try:
-        inv = alg_inv(y.element)
+        return alg_inv(y.element)
     except NotInvertibleError:
         raise DivisionNotAllowedError(
             f"interval division not allowed: divisor {format_interval(y.raw)} "
@@ -480,7 +495,6 @@ def _divide(x: IntervalNumber, y: IntervalNumber) -> IntervalNumber:
             f"interval division overflows: the inverse of divisor "
             f"{format_interval(y.raw)} is too large for a float"
         ) from None
-    return IntervalNumber(x.mode, alg_mul(x.element, inv))
 
 
 def interval(
@@ -644,8 +658,7 @@ def format_interval(g: GeneralizedInterval, raw: bool = False) -> str:
     return f"[{format_number(c.lo)},{format_number(c.hi)}]"
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(_Record):
     """One step of an iterative algorithm: its iterate x and, where the
     algorithm evaluates an objective, f(x)."""
 

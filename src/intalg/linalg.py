@@ -6,11 +6,10 @@ nothing collapses to endpoints between operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraElement, AlgebraOrder, _element, alg_mul
+from .algebra import AlgebraElement, AlgebraOrder, _element, _Record, alg_mul
 from .errors import (
     ConvergenceError,
     ModeMismatchError,
@@ -22,6 +21,7 @@ from .interval import (
     ArithmeticMode,
     IntervalNumber,
     IterationRecord,
+    _reciprocal,
     format_interval,
     interval,
     parse_interval_literal,
@@ -57,8 +57,7 @@ def _check_uniform(entries: Sequence[IntervalNumber], what: str) -> None:
             raise OrderMismatchError(f"{what} mixes algebra orders")
 
 
-@dataclass(frozen=True)
-class IntervalVector:
+class IntervalVector(_Record):
     entries: tuple[IntervalNumber, ...]
 
     def __init__(self, entries: Sequence[IntervalNumber]):
@@ -97,8 +96,7 @@ class IntervalVector:
         return IntervalVector(tuple(e * factor for e in self.entries))
 
 
-@dataclass(frozen=True)
-class IntervalMatrix:
+class IntervalMatrix(_Record):
     rows: tuple[IntervalVector, ...]
 
     def __init__(self, rows: Sequence[IntervalVector | Sequence[IntervalNumber]]):
@@ -246,8 +244,7 @@ def two_norm(u: IntervalVector) -> IntervalNumber:
     return sqrt(dot(u, u))
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
+class PowerIterationResult(_Record):
     eigenvalue: IntervalNumber
     eigenvector: IntervalVector
     trace: tuple[IterationRecord, ...]
@@ -258,7 +255,8 @@ def power_iterate(
 ) -> PowerIterationResult:
     """Normalized power iteration with a Rayleigh quotient estimate per step.
 
-    Each step maps u to M u / ||M u||; the eigenvalue estimate after a step is
+    Each step maps u to M u / ||M u||, multiplying every entry by the one
+    inverse of the norm; the eigenvalue estimate after a step is
     <u, M u> / <u, u>.  The trace records the estimate's endpoints per step.
     """
     nrows, ncols = m.shape
@@ -276,7 +274,8 @@ def power_iterate(
     for k in range(1, iters + 1):
         w = matvec(m, u)
         norm = two_norm(w)
-        u = IntervalVector(tuple(wi / norm for wi in w))
+        scale = IntervalNumber(norm.mode, _reciprocal(norm))
+        u = IntervalVector(tuple(wi * scale for wi in w))
         lam = dot(u, matvec(m, u)) / dot(u, u)
         trace.append(IterationRecord(k, lam.raw))
     return PowerIterationResult(lam, u, tuple(trace))

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+from .algebra import _Record
 from .errors import ConvergenceError
 from .interval import ArithmeticMode, IntervalNumber, IterationRecord, interval
 
@@ -35,8 +35,7 @@ class FdStyle(Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(_Record):
     h: float = 1e-6
     rho: float = 1e-2
     eps: float = 1e-6

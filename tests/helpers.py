@@ -13,9 +13,13 @@ from intalg import (
     IntervalMatrix,
     IntervalNumber,
     IntervalVector,
+    IterationRecord,
     alg_mul,
+    dot,
     generator_endpoints,
+    matvec,
     structure_table,
+    two_norm,
 )
 
 
@@ -200,6 +204,25 @@ def reference_matmul(a, b):
             for row in a.rows
         )
     )
+
+
+def reference_power_iterate(m, u0, iters: int):
+    """Power iteration as it divided every entry of M u by the norm.
+
+    Kept as the oracle for ``power_iterate``, which inverts the norm once per
+    step and multiplies each entry by that inverse: division is the product
+    with the divisor's inverse, so the two agree bit for bit.  Returns the
+    eigenvalue, the eigenvector and the trace.
+    """
+    u = u0
+    trace = []
+    for k in range(1, iters + 1):
+        w = matvec(m, u)
+        norm = two_norm(w)
+        u = IntervalVector(tuple(wi / norm for wi in w))
+        lam = dot(u, matvec(m, u)) / dot(u, u)
+        trace.append(IterationRecord(k, lam.raw))
+    return lam, u, tuple(trace)
 
 
 def _neighbors(value: float):

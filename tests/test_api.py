@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +82,35 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+def test_no_dataclasses_or_cached_property():
+    # Decorating dataclasses and importing them cost most of intalg's import
+    # time, which every command-line run pays.
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [node.id if isinstance(node, ast.Name) else node.attr]
+            else:
+                continue
+            if {"dataclasses", "dataclass", "cached_property"} & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    code = (
+        "import intalg.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

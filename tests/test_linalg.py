@@ -3,7 +3,14 @@ import random
 import sys
 
 import pytest
-from helpers import SPECIAL_FLOATS, bits, close_ulps, draw_float, reference_matmul
+from helpers import (
+    SPECIAL_FLOATS,
+    bits,
+    close_ulps,
+    draw_float,
+    reference_matmul,
+    reference_power_iterate,
+)
 
 import intalg as ia
 from intalg import (
@@ -348,6 +355,37 @@ def test_interval_results_contain_point_results_across_radii():
         for i in range(3):
             for j in range(3):
                 assert inv[i, j].contains(inv_ref[i, j].midpoint)
+
+
+def test_power_step_inverts_the_norm_once(monkeypatch):
+    # One alg_inv for the normalisation and one for the Rayleigh quotient per
+    # step (it made n + 1 when every entry was divided by the norm), with the
+    # per-entry division's bits.
+    module = sys.modules["intalg.interval"]
+    original = module.alg_inv
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return original(u)
+
+    monkeypatch.setattr(module, "alg_inv", counted)
+    rng = random.Random(6)
+    rows = [[rng.uniform(0.5, 3.0) for _ in range(6)] for _ in range(6)]
+    m = deg_matrix(rows, eps=1e-3)
+    u0 = deg_vector([1.0] * 6)
+    res = power_iterate(m, u0, 10)
+    assert len(calls) == 20
+    calls.clear()
+    lam, vec, trace = reference_power_iterate(m, u0, 10)
+    assert len(calls) == 70
+    assert bits(res.eigenvalue.element.coeffs) == bits(lam.element.coeffs)
+    assert [bits(e.element.coeffs) for e in res.eigenvector] == [
+        bits(e.element.coeffs) for e in vec
+    ]
+    assert [bits((r.x.lo, r.x.hi)) for r in res.trace] == [
+        bits((r.x.lo, r.x.hi)) for r in trace
+    ]
 
 
 def test_power_iteration_validation():
