@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .algebra import AlgebraOrder
-from .errors import (
-    ConvergenceError,
-    DivisionNotAllowedError,
-    DomainError,
-    IntalgError,
-    NotInvertibleError,
-)
+from .errors import ConvergenceError, DomainError, IntalgError, NotInvertibleError
 from .exprcalc import evaluate, parse
 from .interval import (
     ArithmeticMode,
@@ -35,13 +30,7 @@ from .linalg import (
 )
 from .optimize import FdStyle, OptimizerConfig, gradient_descent, newton_raphson
 
-_ALGO_ERRORS = (
-    ConvergenceError,
-    DivisionNotAllowedError,
-    NotInvertibleError,
-    DomainError,
-    ZeroDivisionError,
-)
+_ALGO_ERRORS = (ConvergenceError, NotInvertibleError, DomainError)
 
 DEMO_MATRICES = {
     "paper2x2": ((1.0, 2.0), (3.0, 4.0)),
@@ -55,6 +44,17 @@ def _mode(args) -> ArithmeticMode:
 
 def _fmt(args, x) -> str:
     return format_interval(x.raw, raw=args.raw)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the real-valued flags: NaN and infinities are bad input."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -243,10 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--expr", required=True, help="objective, e.g. 'x*exp(x)'")
         p.add_argument("--x0", required=True, help="start interval, e.g. 2±0.1")
         if name == "gradient":
-            p.add_argument("--rho", type=float, default=1e-2, help="step size")
-        p.add_argument("--h", type=float, default=1e-6, help="finite-difference step")
+            p.add_argument("--rho", type=_finite_float, default=1e-2, help="step size")
         p.add_argument(
-            "--eps", type=float, default=eps_default, help="derivative-norm stop"
+            "--h", type=_finite_float, default=1e-6, help="finite-difference step"
+        )
+        p.add_argument(
+            "--eps", type=_finite_float, default=eps_default, help="derivative-norm stop"
         )
         p.add_argument(
             "--style",
@@ -272,13 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--file", help="matrix file (rows of interval literals)")
         src.add_argument("--demo", choices=sorted(DEMO_MATRICES))
         p.add_argument(
-            "--eps", type=float, default=0.0, help="entry radius for --demo matrices"
+            "--eps",
+            type=_finite_float,
+            default=0.0,
+            help="entry radius for --demo matrices",
         )
         if name == "eigen":
             p.add_argument("--iters", type=int, default=10)
             p.add_argument("--csv", help="write per-iteration eigenvalue bounds")
         else:
-            p.add_argument("--tol", type=float, default=1e-12)
+            p.add_argument("--tol", type=_finite_float, default=1e-12)
             p.add_argument("--max-iter", type=int, default=100)
         p.set_defaults(handler=handler, algo_exit=3)
 

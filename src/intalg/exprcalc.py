@@ -1,21 +1,22 @@
-"""Tokenizer, recursive-descent parser and evaluator for interval expressions.
+"""Tokenizer, precedence-climbing parser and evaluator for interval expressions.
 
 Grammar, lowest precedence first::
 
-    expr    := term (('+' | '-') term)*
-    term    := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
-    power   := primary ('^' exponent)?          # '**' is a synonym for '^'
+    expr    := unary (BINOP unary)*    # BINOP and precedence from _BINARY
+    unary   := '-' unary | primary ('^' exponent)?   # '**' is a synonym for '^'
     primary := NUMBER | NUMBER '±' NUMBER | '[' number ',' number ']'
              | NAME | FUNC '(' expr ')' | '(' expr ')'
 
-Exponents are nonnegative integer literals; chained exponents associate to
-the right and are folded at parse time.  Positions in errors are 1-based.
+Binary operators associate to the left.  Exponents are nonnegative integer
+literals; chained exponents associate to the right and are folded at parse
+time.  Positions in errors are 1-based.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from operator import add, mul, sub, truediv
 from typing import Mapping, Union
 
 from .algebra import AlgebraOrder, _as_order, _Record
@@ -23,6 +24,7 @@ from .errors import EvalError, ExprSyntaxError
 from .interval import (
     ArithmeticMode,
     IntervalNumber,
+    _UNSIGNED_NUM,
     exp,
     interval,
     log,
@@ -45,13 +47,14 @@ __all__ = [
     "FUNCTIONS",
 ]
 
-FUNCTIONS = {
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-}
+FUNCTIONS = {"exp": exp, "log": log, "sqrt": sqrt}
 
 _MAX_EXPONENT = 1_000_000
+
+# The binary operators: precedence for the parser and printer, and the
+# interval operation the evaluator applies.
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
+_APPLY = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 
 class Num(_Record):
@@ -94,58 +97,34 @@ ExprNode = Union[Num, IntervalLit, Var, Neg, BinOp, Power, Call]
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-class _Token(_Record):
-    kind: str
-    text: str
-    pos: int  # 1-based
+_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<NUMBER>{_UNSIGNED_NUM})|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<OP>\*\*|[-+*/^()\[\],±]))"
+)
 
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_SINGLE = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    "±": "PM",
-}
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, 1-based position) triples ending in an END token.
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("**", i):
-            tokens.append(_Token("CARET", "**", i + 1))
-            i += 2
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(0), i + 1))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NAME", m.group(0), i + 1))
-            i = m.end()
-            continue
-        kind = _SINGLE.get(ch)
-        if kind is None:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i + 1)
-        tokens.append(_Token(kind, ch, i + 1))
-        i += 1
-    tokens.append(_Token("END", "", n + 1))
+    A name or number has kind NAME or NUMBER; an operator's kind is its own
+    text, with '**' spelled '^'.
+    """
+    tokens = []
+    pos = 0
+    while m := _TOKEN_RE.match(text, pos):
+        kind = m.lastgroup
+        tok = m[kind]
+        start = m.start(kind) + 1
+        if kind == "OP":
+            kind = "^" if tok == "**" else tok
+        tokens.append((kind, tok, start))
+        pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ExprSyntaxError(
+            f"unexpected character {rest[0]!r}", len(text) - len(rest) + 1
+        )
+    tokens.append(("END", "", len(text) + 1))
     return tokens
 
 
@@ -154,127 +133,104 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(f"expected {what}", tok.pos)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ExprSyntaxError(f"expected {what}", tok[2])
+        return tok
 
     def parse(self) -> ExprNode:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+        node = self.binary(1)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "END":
+            raise ExprSyntaxError(f"unexpected {text!r}", pos)
         return node
 
-    def expr(self) -> ExprNode:
-        node = self.term()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
-            rhs = self.term()
-            node = BinOp("+" if op.kind == "PLUS" else "-", node, rhs)
-        return node
-
-    def term(self) -> ExprNode:
+    def binary(self, min_prec: int) -> ExprNode:
+        """Precedence climbing over _BINARY: operators binding at least min_prec."""
         node = self.unary()
-        while self.peek().kind in ("STAR", "SLASH"):
-            op = self.advance()
-            rhs = self.unary()
-            node = BinOp("*" if op.kind == "STAR" else "/", node, rhs)
+        while (prec := _BINARY.get(self.peek(), 0)) >= min_prec:
+            op = self.advance()[0]
+            node = BinOp(op, node, self.binary(prec + 1))
         return node
 
     def unary(self) -> ExprNode:
-        if self.peek().kind == "MINUS":
-            self.advance()
+        if self.peek() == "-":
+            self.i += 1
             return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> ExprNode:
         base = self.primary()
-        if self.peek().kind == "CARET":
-            self.advance()
+        if self.peek() == "^":
+            self.i += 1
             return Power(base, self.exponent())
         return base
 
     def exponent(self) -> int:
-        tok = self.peek()
-        if tok.kind != "NUMBER":
-            raise ExprSyntaxError("exponent must be a nonnegative integer", tok.pos)
-        self.advance()
-        value = float(tok.text)
-        if value != int(value):
-            raise ExprSyntaxError("exponent must be a nonnegative integer", tok.pos)
+        kind, text, pos = self.advance()
+        value = float(text) if kind == "NUMBER" else math.nan
+        if value == math.inf:  # a literal past the float range, such as 1e400
+            raise ExprSyntaxError(f"exponent too large (> {_MAX_EXPONENT})", pos)
+        if not value.is_integer():
+            raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
         k = int(value)
-        if self.peek().kind == "CARET":
-            self.advance()
+        if self.peek() == "^":
+            self.i += 1
             e = self.exponent()
             # bail before materializing a huge integer
-            if k > 1 and e > 20:
-                raise ExprSyntaxError(
-                    f"exponent too large (> {_MAX_EXPONENT})", tok.pos
-                )
-            k = k**e
+            k = k**e if k < 2 or e <= 20 else _MAX_EXPONENT + 1
         if k > _MAX_EXPONENT:
-            raise ExprSyntaxError(f"exponent too large (> {_MAX_EXPONENT})", tok.pos)
+            raise ExprSyntaxError(f"exponent too large (> {_MAX_EXPONENT})", pos)
         return k
 
     def primary(self) -> ExprNode:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            center = float(tok.text)
-            if self.peek().kind == "PM":
-                self.advance()
-                radius_tok = self.expect("NUMBER", "a radius after '±'")
-                radius = float(radius_tok.text)
+        kind, text, pos = self.advance()
+        if kind == "NUMBER":
+            center = float(text)
+            if self.peek() == "±":
+                self.i += 1
+                radius = float(self.expect("NUMBER", "a radius after '±'")[1])
                 return IntervalLit(center - radius, center + radius)
             return Num(center)
-        if tok.kind == "LBRACKET":
-            self.advance()
+        if kind == "[":
             lo = self.signed_number()
-            self.expect("COMMA", "','")
+            self.expect(",", "','")
             hi = self.signed_number()
-            self.expect("RBRACKET", "']'")
+            self.expect("]", "']'")
             return IntervalLit(lo, hi)
-        if tok.kind == "NAME":
-            self.advance()
-            if self.peek().kind == "LPAREN":
-                if tok.text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
-                self.advance()
-                arg = self.expr()
-                self.expect("RPAREN", "')'")
-                return Call(tok.text, arg)
-            return Var(tok.text)
-        if tok.kind == "LPAREN":
-            self.advance()
-            node = self.expr()
-            self.expect("RPAREN", "')'")
+        if kind == "NAME":
+            if self.peek() != "(":
+                return Var(text)
+            if text not in FUNCTIONS:
+                raise ExprSyntaxError(f"unknown function {text!r}", pos)
+            self.i += 1
+            arg = self.binary(1)
+            self.expect(")", "')'")
+            return Call(text, arg)
+        if kind == "(":
+            node = self.binary(1)
+            self.expect(")", "')'")
             return node
         raise ExprSyntaxError(
-            f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
-            tok.pos,
+            f"unexpected {text!r}" if text else "unexpected end of input", pos
         )
 
     def signed_number(self) -> float:
         sign = 1.0
-        while self.peek().kind in ("PLUS", "MINUS"):
-            if self.advance().kind == "MINUS":
+        while self.peek() in ("+", "-"):
+            if self.advance()[0] == "-":
                 sign = -sign
-        tok = self.expect("NUMBER", "a number")
-        return sign * float(tok.text)
+        return sign * float(self.expect("NUMBER", "a number")[1])
 
 
 def parse(text: str) -> ExprNode:
@@ -286,17 +242,15 @@ def parse(text: str) -> ExprNode:
 # Printer (minimal parentheses; reparses to an equal AST)
 # ---------------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+# Binary operators take their precedence from _BINARY; leaves bind tightest.
+_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
+_PREC = {Neg: _PREC_NEG, Power: _PREC_POW}
 
 
 def _prec(node: ExprNode) -> int:
     if isinstance(node, BinOp):
-        return _PREC_ADD if node.op in "+-" else _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Power):
-        return _PREC_POW
-    return _PREC_ATOM
+        return _BINARY[node.op]
+    return _PREC.get(type(node), _PREC_ATOM)
 
 
 def _wrap(text: str, need: bool) -> str:
@@ -370,13 +324,8 @@ def _eval(node, bindings, mode, order) -> IntervalNumber:
     if isinstance(node, Call):
         return FUNCTIONS[node.func](_eval(node.arg, bindings, mode, order))
     if isinstance(node, BinOp):
-        left = _eval(node.left, bindings, mode, order)
-        right = _eval(node.right, bindings, mode, order)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
+        return _APPLY[node.op](
+            _eval(node.left, bindings, mode, order),
+            _eval(node.right, bindings, mode, order),
+        )
     raise TypeError(f"not an expression node: {node!r}")

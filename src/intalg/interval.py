@@ -690,26 +690,31 @@ def write_trace_csv(path: str, trace: tuple[IterationRecord, ...]) -> None:
             fh.write(",".join(cols) + "\n")
 
 
-_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# The unsigned number syntax, shared with the expression tokenizer.
+_UNSIGNED_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUM = rf"[+-]?{_UNSIGNED_NUM}"
 _BRACKET_RE = re.compile(rf"^\[\s*({_NUM})\s*,\s*({_NUM})\s*\]$")
 _BALL_RE = re.compile(rf"^({_NUM})\s*(?:±|\+-)\s*({_NUM})$")
 _BARE_RE = re.compile(rf"^({_NUM})$")
 
 
 def parse_interval_literal(text: str) -> tuple[float, float]:
-    """Parse "[a,b]", "c±e" (ASCII synonym "c+-e") or a bare number."""
+    """Parse "[a,b]", "c±e" (ASCII synonym "c+-e") or a bare number.
+
+    Raises ValueError for malformed text and for endpoints that are not finite.
+    """
     s = text.strip()
-    m = _BRACKET_RE.match(s)
-    if m:
-        return float(m.group(1)), float(m.group(2))
-    m = _BALL_RE.match(s)
-    if m:
-        c, e = float(m.group(1)), float(m.group(2))
+    if m := _BRACKET_RE.match(s):
+        lo, hi = float(m[1]), float(m[2])
+    elif m := _BALL_RE.match(s):
+        c, e = float(m[1]), float(m[2])
         if e < 0:
             raise ValueError(f"negative radius in interval literal: {text!r}")
-        return c - e, c + e
-    m = _BARE_RE.match(s)
-    if m:
-        v = float(m.group(1))
-        return v, v
-    raise ValueError(f"invalid interval literal: {text!r}")
+        lo, hi = c - e, c + e
+    elif m := _BARE_RE.match(s):
+        lo = hi = float(m[1])
+    else:
+        raise ValueError(f"invalid interval literal: {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval literal is not finite: {text!r}")
+    return lo, hi

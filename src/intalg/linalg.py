@@ -300,9 +300,9 @@ def schulz_invert(
         raise UnsupportedOrderError("matrix inversion divides, which needs order 4")
     if m.mode is not ArithmeticMode.TRUE:
         raise ModeMismatchError("schulz_invert requires true arithmetic")
-    if max_iter < 1:
+    if not max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
-    if tol <= 0:
+    if not tol > 0:  # NaN fails this too
         raise ValueError("tol must be positive")
     n = nrows
     scale = interval(1.0, order=m.order, mode=m.mode) / frob_sq(m)

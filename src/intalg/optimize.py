@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Callable
 
@@ -43,13 +44,14 @@ class OptimizerConfig(_Record):
     style: FdStyle = FdStyle.MIDPOINT
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.eps <= 0:
+        # each check is written so that NaN fails it
+        if not 0 < self.h < math.inf:
+            raise ValueError("h must be positive and finite")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
 
 
@@ -86,12 +88,15 @@ def fd_second(
 ) -> IntervalNumber:
     """Central second difference (f(x+h) + f(x-h) - 2 f(x)) / h^2."""
     _check_style(x, style)
+    h2 = h * h
+    if h2 == 0.0:
+        raise ValueError(f"h={h!r} is too small for a second difference: h*h is 0")
     if style is FdStyle.MIDPOINT:
         c = _center(x)
         s = f(c + h) + f(c - h) - 2.0 * f(c)
-        return interval(s.midpoint / (h * h), order=x.order, mode=x.mode)
+        return interval(s.midpoint / h2, order=x.order, mode=x.mode)
     s = f(x + h) + f(x - h) - 2.0 * f(x)
-    return s / interval(h * h, order=x.order, mode=x.mode)
+    return s / interval(h2, order=x.order, mode=x.mode)
 
 
 def _descend(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 import sys
 from fractions import Fraction
@@ -20,6 +21,20 @@ from intalg import (
     matvec,
     structure_table,
     two_norm,
+)
+from intalg.algebra import _Record
+from intalg.errors import ExprSyntaxError
+from intalg.exprcalc import (
+    _MAX_EXPONENT,
+    FUNCTIONS,
+    BinOp,
+    Call,
+    ExprNode,
+    IntervalLit,
+    Neg,
+    Num,
+    Power,
+    Var,
 )
 
 
@@ -341,3 +356,202 @@ def reference_embed(lo: float, hi: float, order: int) -> tuple[float, ...]:
     else:
         coeffs = _embed_zero_cone(lo, hi, order)
     return tuple(coeffs)
+
+
+# -- expression parser oracle ---------------------------------------------------
+#
+# The hand-written recursive-descent front end that the one-pattern tokenizer
+# and precedence-climbing parser of ``intalg.exprcalc`` replaced, kept as the
+# oracle for their ASTs, error messages and error positions.
+
+class _Token(_Record):
+    kind: str
+    text: str
+    pos: int  # 1-based
+
+
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_SINGLE = {
+    "+": "PLUS",
+    "-": "MINUS",
+    "*": "STAR",
+    "/": "SLASH",
+    "^": "CARET",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "[": "LBRACKET",
+    "]": "RBRACKET",
+    ",": "COMMA",
+    "±": "PM",
+}
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("**", i):
+            tokens.append(_Token("CARET", "**", i + 1))
+            i += 2
+            continue
+        m = _NUMBER_RE.match(text, i)
+        if m:
+            tokens.append(_Token("NUMBER", m.group(0), i + 1))
+            i = m.end()
+            continue
+        m = _NAME_RE.match(text, i)
+        if m:
+            tokens.append(_Token("NAME", m.group(0), i + 1))
+            i = m.end()
+            continue
+        kind = _SINGLE.get(ch)
+        if kind is None:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i + 1)
+        tokens.append(_Token(kind, ch, i + 1))
+        i += 1
+    tokens.append(_Token("END", "", n + 1))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ExprSyntaxError(f"expected {what}", tok.pos)
+        return self.advance()
+
+    def parse(self) -> ExprNode:
+        node = self.expr()
+        tok = self.peek()
+        if tok.kind != "END":
+            raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+        return node
+
+    def expr(self) -> ExprNode:
+        node = self.term()
+        while self.peek().kind in ("PLUS", "MINUS"):
+            op = self.advance()
+            rhs = self.term()
+            node = BinOp("+" if op.kind == "PLUS" else "-", node, rhs)
+        return node
+
+    def term(self) -> ExprNode:
+        node = self.unary()
+        while self.peek().kind in ("STAR", "SLASH"):
+            op = self.advance()
+            rhs = self.unary()
+            node = BinOp("*" if op.kind == "STAR" else "/", node, rhs)
+        return node
+
+    def unary(self) -> ExprNode:
+        if self.peek().kind == "MINUS":
+            self.advance()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self) -> ExprNode:
+        base = self.primary()
+        if self.peek().kind == "CARET":
+            self.advance()
+            return Power(base, self.exponent())
+        return base
+
+    def exponent(self) -> int:
+        tok = self.peek()
+        if tok.kind != "NUMBER":
+            raise ExprSyntaxError("exponent must be a nonnegative integer", tok.pos)
+        self.advance()
+        value = float(tok.text)
+        if value != int(value):
+            raise ExprSyntaxError("exponent must be a nonnegative integer", tok.pos)
+        k = int(value)
+        if self.peek().kind == "CARET":
+            self.advance()
+            e = self.exponent()
+            # bail before materializing a huge integer
+            if k > 1 and e > 20:
+                raise ExprSyntaxError(
+                    f"exponent too large (> {_MAX_EXPONENT})", tok.pos
+                )
+            k = k**e
+        if k > _MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent too large (> {_MAX_EXPONENT})", tok.pos)
+        return k
+
+    def primary(self) -> ExprNode:
+        tok = self.peek()
+        if tok.kind == "NUMBER":
+            self.advance()
+            center = float(tok.text)
+            if self.peek().kind == "PM":
+                self.advance()
+                radius_tok = self.expect("NUMBER", "a radius after '±'")
+                radius = float(radius_tok.text)
+                return IntervalLit(center - radius, center + radius)
+            return Num(center)
+        if tok.kind == "LBRACKET":
+            self.advance()
+            lo = self.signed_number()
+            self.expect("COMMA", "','")
+            hi = self.signed_number()
+            self.expect("RBRACKET", "']'")
+            return IntervalLit(lo, hi)
+        if tok.kind == "NAME":
+            self.advance()
+            if self.peek().kind == "LPAREN":
+                if tok.text not in FUNCTIONS:
+                    raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
+                self.advance()
+                arg = self.expr()
+                self.expect("RPAREN", "')'")
+                return Call(tok.text, arg)
+            return Var(tok.text)
+        if tok.kind == "LPAREN":
+            self.advance()
+            node = self.expr()
+            self.expect("RPAREN", "')'")
+            return node
+        raise ExprSyntaxError(
+            f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
+            tok.pos,
+        )
+
+    def signed_number(self) -> float:
+        sign = 1.0
+        while self.peek().kind in ("PLUS", "MINUS"):
+            if self.advance().kind == "MINUS":
+                sign = -sign
+        tok = self.expect("NUMBER", "a number")
+        return sign * float(tok.text)
+
+
+def reference_parse(text: str):
+    """The AST (or positioned ExprSyntaxError) of the recursive-descent parser.
+
+    One exception is known: an exponent literal that overflows to inf (such
+    as ``x^1e400``) raises a bare OverflowError here, where the library
+    reports "exponent too large".
+    """
+    return _Parser(_tokenize(text)).parse()

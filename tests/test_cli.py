@@ -230,6 +230,38 @@ def test_gradient_failure_exit_3_writes_trace(tmp_path, capsys):
     assert len(csv.read_text().splitlines()) == 7  # header + records 0..5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("gradient", "--expr", "x*x", "--x0", "[0,1e400]"),
+        ("gradient", "--expr", "x*x", "--x0", "1", "--h", "nan"),
+        ("gradient", "--expr", "x*x", "--x0", "1", "--rho", "nan"),
+        ("gradient", "--expr", "x*x", "--x0", "1", "--eps", "inf"),
+        ("newton", "--expr", "x*x", "--x0", "1", "--h=-inf"),
+        ("eigen", "--demo", "paper2x2", "--eps", "1e400"),
+        ("eigen", "--demo", "paper2x2", "--eps", "nan"),
+        ("invert", "--demo", "paper2x2", "--tol", "nan"),
+        ("invert", "--file", "{matrix}"),
+    ),
+    ids=lambda argv: " ".join(argv),
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, argv):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("[1,1],[0,1e400]\n[0,0],[1,1]\n")
+    code, out, err = run_cli(capsys, *(a.format(matrix=matrix) for a in argv))
+    assert code == 2
+    assert out == "" and "finite" in err and "Traceback" not in err
+
+
+def test_newton_with_h_too_small_for_second_difference_exits_2(capsys):
+    # at 0 the first difference of x+x*x is 1, so Newton takes a step
+    code, out, err = run_cli(
+        capsys, "newton", "--expr", "x+x*x", "--x0", "0", "--h", "1e-200"
+    )
+    assert code == 2
+    assert out == "" and "h=1e-200" in err and "Traceback" not in err
+
+
 def test_gradient_exp_overflow_exits_3(capsys):
     # full-style descent with this step size diverges until exp overflows
     code, out, err = run_cli(

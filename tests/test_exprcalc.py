@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import reference_parse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,3 +241,83 @@ def test_parsing_is_total(text):
         parse(text)
     except ExprSyntaxError as err:
         assert 1 <= err.position <= len(text) + 1
+
+
+# -- parity with the recursive-descent parser -------------------------------------
+
+# Pieces of token soups: numbers (Unicode digits and an overflowing one among
+# them), names, every operator spelling, whitespace and stray characters.
+SOUP_PIECES = (
+    "1", "2", "0", "10", "2.5", ".5", "3.", "1e3", "2E-2", "1e", "1e400",
+    "\u0663", "\u0661.\u0662", "x", "y", "exp", "log", "sqrt", "foo", "_a1", "e",
+    "+", "-", "*", "/", "^", "**", "(", ")", "[", "]", ",", "\u00b1", "+-",
+    " ", "  ", "\t", "\n", "\u3000", "\xa0", "$", ".",
+)
+
+
+def _outcome(parse_fn, text):
+    # reprs tell -0.0 from 0.0 and make NaN (from inf-inf) equal to itself
+    try:
+        return ("ast", repr(parse_fn(text)))
+    except ExprSyntaxError as err:
+        return ("error", str(err), err.position)
+    except OverflowError:
+        return ("overflow",)
+
+
+def _assert_same_parse(text):
+    want = _outcome(reference_parse, text)
+    got = _outcome(parse, text)
+    if want == ("overflow",):
+        # the one intended difference: an exponent literal that overflows
+        # to inf is a syntax error instead of a bare OverflowError
+        assert got[0] == "error" and got[1].startswith("exponent too large"), text
+    else:
+        assert got == want, text
+
+
+def _bench_style(rng, depth):
+    """Expression text shaped like the benchmark's generated expressions."""
+    if depth <= 1:
+        r = rng.random()
+        if r < 0.6:
+            return rng.choice("xyz")
+        if r < 0.85:
+            return repr(rng.choice((1.0, 2.0, 3.0, 0.5, 1.5)))
+        lo = round(rng.uniform(-2.0, 2.0), 3)
+        return f"[{lo!r},{round(lo + rng.uniform(0.0, 2.0), 3)!r}]"
+    sub = _bench_style(rng, depth - 1)
+    atom = sub if sub.isidentifier() or sub.startswith("[") else f"({sub})"
+    r = rng.random()
+    if r < 0.55:
+        right = _bench_style(rng, rng.randint(1, depth - 1))
+        return f"({sub}){rng.choice('+-*/')}({right})"
+    if r < 0.72:
+        return f"{atom}^{rng.randint(2, 4)}"
+    if r < 0.9:
+        return f"{rng.choice(('exp', 'log', 'sqrt'))}({sub})"
+    return f"-{atom}"
+
+
+def test_parse_matches_the_recursive_descent_reference():
+    rng = random.Random(2011)
+    for _ in range(30_000):
+        pieces = rng.choices(SOUP_PIECES, k=rng.randint(1, 12))
+        _assert_same_parse("".join(pieces))
+    for _ in range(3_000):
+        text = _bench_style(rng, rng.randint(2, 5))
+        _assert_same_parse(text)
+        # and near misses: one piece inserted or one character replaced
+        i = rng.randrange(len(text))
+        _assert_same_parse(text[:i] + rng.choice(SOUP_PIECES) + text[i:])
+        _assert_same_parse(text[:i] + rng.choice(SOUP_PIECES) + text[i + 1:])
+    for text in CORPUS_TEXTS + ["x*+", "x*(1+2", "x$2", "x^-2", "x^2.5", "x^y",
+                                "foo(x)", "x^2^21", "2^3^2", "-x^2", "[-1.5, 2e1]"]:
+        _assert_same_parse(text)
+
+
+@pytest.mark.parametrize("text", ("x^1e400", "x^1e400^0", "x^1e400^y"))
+def test_overflowing_exponent_literal_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert "exponent too large" in str(exc.value) and exc.value.position == 3

@@ -682,6 +682,9 @@ def test_parse_interval_literal():
     for bad in ("[1;2]", "1±-2", "[1,2", "x", ""):
         with pytest.raises(ValueError):
             parse_interval_literal(bad)
+    for non_finite in ("[0,1e400]", "[-1e400,0]", "1e400", "1e308±1e308", "0±1e400"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_interval_literal(non_finite)
 
 
 def test_format_number_session_style():

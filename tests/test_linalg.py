@@ -465,6 +465,12 @@ def test_schulz_nonconvergence_carries_residual():
     assert exc.value.residual is not None and exc.value.residual > 1e-12
 
 
+@pytest.mark.parametrize("kwargs", (dict(tol=math.nan), dict(tol=0.0), dict(max_iter=0)))
+def test_schulz_rejects_bad_tol_and_max_iter(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        schulz_invert(deg_matrix(M3), **kwargs)
+
+
 def test_schulz_requires_true_mode_and_order4():
     with pytest.raises(ModeMismatchError):
         schulz_invert(deg_matrix(M3, mode=SEM))
@@ -489,6 +495,8 @@ def test_parse_matrix_text_errors():
         parse_matrix_text("[1,2]\n[1,2],[3,4]")
     with pytest.raises(ValueError):
         parse_matrix_text("[1,2],oops")
+    with pytest.raises(ValueError, match="finite"):
+        parse_matrix_text("[0,1e400]")
 
 
 def test_format_matrix_session_layout():

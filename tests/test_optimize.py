@@ -75,9 +75,19 @@ def test_fd_full_requires_true_mode():
 
 
 def test_config_validation():
-    for bad in (dict(h=0), dict(rho=-1), dict(eps=0), dict(max_iter=0)):
-        with pytest.raises(ValueError):
+    nan, inf = math.nan, math.inf
+    for bad in (
+        dict(h=0), dict(rho=-1), dict(eps=0), dict(max_iter=0),
+        dict(h=nan), dict(rho=nan), dict(eps=nan), dict(h=inf), dict(rho=inf),
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             OptimizerConfig(**bad)
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+def test_fd_second_rejects_h_whose_square_underflows(style):
+    with pytest.raises(ValueError, match="h=1e-200"):
+        fd_second(square, interval(1, 1), 1e-200, style)
 
 
 # -- gradient descent -----------------------------------------------------------
