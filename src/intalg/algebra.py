@@ -7,11 +7,14 @@ constant is 0 or 1 and the whole table fits in a small index matrix.  The
 order-4 algebra splits into two ideals under a change of basis; that split
 form is what makes elements invertible component by component.
 
-The product runs one straight-line kernel per order, generated at import
-from the product schedule, which is read off the structure table.  Float
-addition does not associate, so the kernels' order of operations is part of
-the results the tests pin bit for bit: change the schedule or the generator
-and those results change with it.
+Every coefficient operation runs a straight-line kernel per order, all of
+an order's kernels generated as one source and compiled on the order's first
+use: the product from the product schedule, which is read off the structure
+table; sum, difference, negation and scaling coefficientwise; and collapse
+to endpoints from the generator intervals.  Float addition does not associate,
+so the kernels' order of operations is part of the results the tests pin bit
+for bit: change the schedule or the generator and those results change with
+it.
 """
 
 from __future__ import annotations
@@ -175,41 +178,66 @@ _SCHEDULES = {
 }
 
 
-def _kernel_source(schedule: tuple[tuple[int, int, int], ...], n: int) -> str:
-    """Source of a straight-line product of two length-n coefficient tuples.
+def _kernel_source(order: AlgebraOrder) -> str:
+    """Source of the order's straight-line coefficient kernels.
 
-    Coefficient k is ``0.0 + t1 + t2 + ...`` over the schedule's terms for k,
-    in schedule order, each cross pair written ``(a[i]*b[j] + a[j]*b[i])``:
-    the same float operations, in the same order, as accumulating the
-    schedule into zeros one term at a time.
+    Each kernel unpacks its coefficient tuples and returns a tuple.  In
+    ``mul(a, b)`` coefficient k is ``0.0 + t1 + t2 + ...`` over the
+    schedule's terms for k, in schedule order, each cross pair written
+    ``(a[i]*b[j] + a[j]*b[i])``: the same float operations, in the same
+    order, as accumulating the schedule into zeros one term at a time.
+    ``add``, ``sub``, ``neg`` and ``scale`` (``f * a[i]``) act
+    coefficientwise.  ``collapse(a)`` is ``(lo, hi)``, each endpoint
+    ``0.0 + a0*g0 + a1*g1 + ...`` over the generators' endpoints, zeros
+    included, so an infinite coefficient still makes a NaN endpoint.
     """
+    n = int(order)
     terms = [["0.0"] for _ in range(n)]
-    for k, i, j in schedule:
-        terms[k].append(
-            f"a{i} * b{i}" if i == j else f"(a{i} * b{j} + a{j} * b{i})"
-        )
-    lines = [
-        "def kernel(a, b):",
-        "    " + ", ".join(f"a{i}" for i in range(n)) + " = a",
-        "    " + ", ".join(f"b{i}" for i in range(n)) + " = b",
-        "    return (",
-        *(f"        {' + '.join(t)}," for t in terms),
-        "    )",
+    for k, i, j in _SCHEDULES[order]:
+        terms[k].append(f"a{i} * b{i}" if i == j else f"(a{i} * b{j} + a{j} * b{i})")
+    endpoints = [
+        "0.0" + "".join(f" + a{i} * {g!r}" for i, g in enumerate(end))
+        for end in zip(*_GENERATORS[order])
     ]
+    kernels = {
+        "mul": ("a, b", [" + ".join(t) for t in terms]),
+        "add": ("a, b", [f"a{i} + b{i}" for i in range(n)]),
+        "sub": ("a, b", [f"a{i} - b{i}" for i in range(n)]),
+        "neg": ("a", [f"-a{i}" for i in range(n)]),
+        "scale": ("a, f", [f"f * a{i}" for i in range(n)]),
+        "collapse": ("a", endpoints),
+    }
+    lines = []
+    for name, (params, values) in kernels.items():
+        lines.append(f"def {name}({params}):")
+        for p in ("a", "b") if "b" in params else ("a",):
+            lines.append("    " + ", ".join(f"{p}{i}" for i in range(n)) + f" = {p}")
+        lines += ["    return (", *(f"        {v}," for v in values), "    )"]
     return "\n".join(lines) + "\n"
 
 
-def _compile_kernel(order: AlgebraOrder):
-    n = int(order)
-    code = compile(
-        _kernel_source(_SCHEDULES[order], n), f"<alg_mul kernel, order {n}>", "exec"
-    )
-    namespace: dict = {}
-    exec(code, namespace)
-    return namespace["kernel"]
+def _first_use(name: str, order: AlgebraOrder):
+    """The stand-in for a kernel until its order is compiled: its first call
+    compiles all of the order's kernels, in one call, into every table, so a
+    process pays only for the orders it uses."""
+
+    def kernel(*args):
+        if _KERNELS[name][order] is kernel:
+            source = _kernel_source(order)
+            namespace: dict = {}
+            exec(compile(source, f"<kernels, order {int(order)}>", "exec"), namespace)
+            for other, table in _KERNELS.items():
+                table[order] = namespace[other]
+        return _KERNELS[name][order](*args)
+
+    return kernel
 
 
-_KERNELS = {order: _compile_kernel(order) for order in _SCHEDULES}
+_KERNELS = {
+    name: {order: _first_use(name, order) for order in AlgebraOrder}
+    for name in ("mul", "add", "sub", "neg", "scale", "collapse")
+}
+_MUL, _ADD, _SUB, _NEG, _SCALE, _COLLAPSE = _KERNELS.values()
 
 
 def generator_endpoints(order: int | AlgebraOrder) -> tuple[tuple[float, float], ...]:
@@ -253,28 +281,31 @@ class AlgebraElement(_Record):
         return cls(order, (1.0,) + (0.0,) * (n - 1))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_orders(self, other)
-        return _element(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        order = self.order
+        if order is not other.order:
+            _check_orders(self, other)
+        return _element(order, _ADD[order](self.coeffs, other.coeffs))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_orders(self, other)
-        return _element(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        order = self.order
+        if order is not other.order:
+            _check_orders(self, other)
+        return _element(order, _SUB[order](self.coeffs, other.coeffs))
 
     def __neg__(self) -> "AlgebraElement":
-        return _element(self.order, tuple(-c for c in self.coeffs))
+        return _element(self.order, _NEG[self.order](self.coeffs))
 
     def scale(self, factor: float) -> "AlgebraElement":
-        return _element(self.order, tuple(factor * c for c in self.coeffs))
+        return _element(self.order, _SCALE[self.order](self.coeffs, factor))
+
+
+_new = object.__new__  # bound once: every operation's result is built here
 
 
 def _element(order: AlgebraOrder, coeffs: tuple[float, ...]) -> AlgebraElement:
     """Build an element from an AlgebraOrder member and a tuple of floats of
     its length, skipping the public constructor's conversion and checks."""
-    element = object.__new__(AlgebraElement)
+    element = _new(AlgebraElement)
     fields = element.__dict__
     fields["order"] = order
     fields["coeffs"] = coeffs
@@ -302,7 +333,7 @@ def alg_mul(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     order = u.order
     if order is not v.order:
         _check_orders(u, v)
-    return _element(order, _KERNELS[order](u.coeffs, v.coeffs))
+    return _element(order, _MUL[order](u.coeffs, v.coeffs))
 
 
 class SplitCoords(_Record):

@@ -109,6 +109,8 @@ def _cmd_compare_mul(args) -> int:
     for order in (4, 5, 7):
         prod = interval(*x, order=order) * interval(*y, order=order)
         rows.append((f"order-{order}", prod.raw))
+    if not all(math.isfinite(g.lo) and math.isfinite(g.hi) for _, g in rows):
+        raise DomainError("the product overflows: an endpoint is not finite")
     for label, g in rows:
         c = g.canonical
         print(

@@ -200,14 +200,14 @@ class _Parser:
             if self.peek() == "±":
                 self.i += 1
                 radius = float(self.expect("NUMBER", "a radius after '±'")[1])
-                return IntervalLit(center - radius, center + radius)
-            return Num(center)
+                return IntervalLit(*_finite(pos, center - radius, center + radius))
+            return Num(*_finite(pos, center))
         if kind == "[":
             lo = self.signed_number()
             self.expect(",", "','")
             hi = self.signed_number()
             self.expect("]", "']'")
-            return IntervalLit(lo, hi)
+            return IntervalLit(*_finite(pos, lo, hi))
         if kind == "NAME":
             if self.peek() != "(":
                 return Var(text)
@@ -231,6 +231,13 @@ class _Parser:
             if self.advance()[0] == "-":
                 sign = -sign
         return sign * float(self.expect("NUMBER", "a number")[1])
+
+
+def _finite(pos: int, *values: float) -> tuple[float, ...]:
+    """A literal's values, unless one is infinite or NaN, such as 1e400."""
+    if all(map(math.isfinite, values)):
+        return values
+    raise ExprSyntaxError("literal is not finite", pos)
 
 
 def parse(text: str) -> ExprNode:

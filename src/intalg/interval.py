@@ -25,6 +25,7 @@ from enum import Enum
 from typing import Callable
 
 from .algebra import (
+    _COLLAPSE,
     _GENERATORS,
     AlgebraElement,
     AlgebraOrder,
@@ -120,11 +121,7 @@ def collapse(element: AlgebraElement) -> GeneralizedInterval:
     Raises DomainError when an endpoint comes out NaN: coefficients that
     overflowed to infinity meet as inf - inf or inf * 0.
     """
-    lo = 0.0
-    hi = 0.0
-    for c, (glo, ghi) in zip(element.coeffs, _GENERATORS[element.order]):
-        lo += c * glo
-        hi += c * ghi
+    lo, hi = _COLLAPSE[element.order](element.coeffs)
     if lo != lo or hi != hi:
         raise DomainError(
             f"element {element.coeffs!r} of order {int(element.order)} has no "

@@ -6,10 +6,9 @@ nothing collapses to endpoints between operations.
 
 from __future__ import annotations
 
-from operator import add
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraElement, AlgebraOrder, _element, _Record, alg_mul
+from .algebra import _ADD, AlgebraElement, AlgebraOrder, _element, _Record, alg_mul
 from .errors import (
     ConvergenceError,
     ModeMismatchError,
@@ -175,9 +174,10 @@ def _dot(us: Sequence[AlgebraElement], vs: Sequence[AlgebraElement]) -> AlgebraE
     """
     products = map(alg_mul, us, vs)
     first = next(products)
+    add = _ADD[first.order]
     acc = first.coeffs
     for p in products:
-        acc = tuple(map(add, acc, p.coeffs))
+        acc = add(acc, p.coeffs)
     return _element(first.order, acc)
 
 
@@ -269,14 +269,15 @@ def power_iterate(
     if iters < 1:
         raise ValueError("iters must be at least 1")
     u = u0
+    w = matvec(m, u)
     trace: list[IterationRecord] = []
     lam = None
     for k in range(1, iters + 1):
-        w = matvec(m, u)
         norm = two_norm(w)
         scale = IntervalNumber(norm.mode, _reciprocal(norm))
         u = IntervalVector(tuple(wi * scale for wi in w))
-        lam = dot(u, matvec(m, u)) / dot(u, u)
+        w = matvec(m, u)  # the Rayleigh quotient's M u is the next step's
+        lam = dot(u, w) / dot(u, u)
         trace.append(IterationRecord(k, lam.raw))
     return PowerIterationResult(lam, u, tuple(trace))
 

@@ -101,6 +101,13 @@ def draw_float(rng) -> float:
     return rng.uniform(-5.0, 5.0)
 
 
+def draw_coeff(rng) -> float:
+    """``draw_float`` with an infinity of either sign one time in twenty."""
+    if rng.random() < 0.05:
+        return rng.choice((math.inf, -math.inf))
+    return draw_float(rng)
+
+
 def reference_alg_mul(u, v) -> tuple[float, ...]:
     """The algebra product as a direct walk over the structure table.
 
@@ -117,6 +124,31 @@ def reference_alg_mul(u, v) -> tuple[float, ...]:
         for j in range(i + 1, n):
             out[row[j]] += a[i] * b[j] + a[j] * b[i]
     return tuple(out)
+
+
+# Oracles for the generated coefficientwise kernels, as generator expressions
+# over the coefficients: the same float operations, so they agree bit for bit.
+
+def reference_add(u, v) -> tuple[float, ...]:
+    return tuple(a + b for a, b in zip(u.coeffs, v.coeffs))
+
+
+def reference_sub(u, v) -> tuple[float, ...]:
+    return tuple(a - b for a, b in zip(u.coeffs, v.coeffs))
+
+
+def reference_neg(u) -> tuple[float, ...]:
+    return tuple(-c for c in u.coeffs)
+
+
+def reference_scale(u, factor) -> tuple[float, ...]:
+    return tuple(factor * c for c in u.coeffs)
+
+
+def reference_collapse(u) -> tuple[float, float]:
+    """The raw endpoint pair as the loop over the generators that the
+    generated collapse kernel unrolled, NaN endpoints included."""
+    return _collapse_raw(u.order, u.coeffs)
 
 
 def reference_is_invertible(u) -> bool:

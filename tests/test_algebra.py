@@ -1,7 +1,9 @@
 import ast
 import inspect
 import math
+import os
 import random
+import subprocess
 import sys
 import textwrap
 
@@ -9,12 +11,17 @@ import pytest
 from helpers import (
     bits,
     close_ulps,
+    draw_coeff,
     draw_float,
     exact_is_invertible,
     inf_norm,
     reference_alg_inv,
+    reference_add,
     reference_alg_mul,
     reference_is_invertible,
+    reference_neg,
+    reference_scale,
+    reference_sub,
     split_squares_in_range,
     vectors_close_ulps,
 )
@@ -37,7 +44,7 @@ from intalg import (
     structure_table,
     to_split,
 )
-from intalg.interval import mink_mul, GeneralizedInterval
+from intalg.interval import GeneralizedInterval, collapse, mink_mul
 
 ORDERS = (4, 5, 7)
 
@@ -138,16 +145,71 @@ def test_product_matches_table_walk_bit_for_bit(order):
 
 
 @pytest.mark.parametrize("order", ORDERS)
+def test_linear_kernels_match_generator_forms_bit_for_bit(order):
+    # Signed zeros, subnormals, huge and infinite coefficients included.
+    rng = random.Random(order + 90)
+    for _ in range(10_000):
+        u = AlgebraElement(order, tuple(draw_coeff(rng) for _ in range(order)))
+        v = AlgebraElement(order, tuple(draw_coeff(rng) for _ in range(order)))
+        factor = draw_coeff(rng)
+        for out, ref in (
+            (u + v, reference_add(u, v)),
+            (u - v, reference_sub(u, v)),
+            (-u, reference_neg(u)),
+            (u.scale(factor), reference_scale(u, factor)),
+        ):
+            assert bits(out.coeffs) == bits(ref), (u, v, factor)
+            assert out.order is u.order
+
+
+@pytest.mark.parametrize("order", ORDERS)
 def test_product_kernel_is_straight_line(order):
-    # alg_mul and the kernel generated from the schedule run no Python loop.
+    # Every kernel generated for the order, and every operation that calls
+    # one, runs no Python loop.
     algebra = sys.modules["intalg.algebra"]
-    schedule = algebra._SCHEDULES[AlgebraOrder(order)]
-    for source in (
-        textwrap.dedent(inspect.getsource(alg_mul)),
-        algebra._kernel_source(schedule, order),
-    ):
+    alg_mul(AlgebraElement.unit(order), AlgebraElement.unit(order))
+    kernels = algebra._kernel_source(AlgebraOrder(order))
+    names = [node.name for node in ast.parse(kernels).body]
+    assert names == list(algebra._KERNELS)
+    for name, table in algebra._KERNELS.items():
+        kernel = table[AlgebraOrder(order)]
+        assert kernel.__name__ == name
+        assert kernel.__code__.co_filename == f"<kernels, order {order}>"
+    callers = (
+        alg_mul,
+        AlgebraElement.__add__,
+        AlgebraElement.__sub__,
+        AlgebraElement.__neg__,
+        AlgebraElement.scale,
+        collapse,
+    )
+    for source in (kernels, *(textwrap.dedent(inspect.getsource(f)) for f in callers)):
         loops = (ast.For, ast.While, ast.comprehension)
         assert not any(isinstance(node, loops) for node in ast.walk(ast.parse(source)))
+
+
+def test_kernels_compile_per_order_on_first_use():
+    # Importing compiles no kernel; the first operation at an order compiles
+    # every kernel of that order and no other.
+    script = """
+import intalg.algebra as a
+def compiled():
+    return [int(o) for o in a.AlgebraOrder if a._ADD[o].__name__ == "add"]
+print(compiled())
+u = a.AlgebraElement.unit(5)
+print((u - u).coeffs, compiled())
+print([table[a.AlgebraOrder(5)].__name__ for table in a._KERNELS.values()])
+"""
+    src = os.path.dirname(os.path.dirname(sys.modules["intalg"].__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert run.stdout.splitlines() == [
+        "[]",
+        "(0.0, 0.0, 0.0, 0.0, 0.0) [5]",
+        "['mul', 'add', 'sub', 'neg', 'scale', 'collapse']",
+    ], run.stderr
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -177,6 +177,14 @@ def test_compare_mul_zero(capsys):
     assert all("[0.0,0.0]" in line for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("x, y", (("1e300", "1e300"), ("1e300", "[-1e300,-1e300]")))
+def test_compare_mul_overflow_exits_2(capsys, x, y):
+    # an overflowing product has an infinite endpoint, and its width can be NaN
+    code, out, err = run_cli(capsys, "compare-mul", "--x", x, "--y", y)
+    assert code == 2
+    assert out == "" and "overflows" in err and "Traceback" not in err
+
+
 def test_gradient_cli(tmp_path, capsys):
     csv = tmp_path / "grad.csv"
     code, out, _ = run_cli(
@@ -242,6 +250,9 @@ def test_gradient_failure_exit_3_writes_trace(tmp_path, capsys):
         ("eigen", "--demo", "paper2x2", "--eps", "nan"),
         ("invert", "--demo", "paper2x2", "--tol", "nan"),
         ("invert", "--file", "{matrix}"),
+        ("gradient", "--expr", "x*1e400", "--x0", "1"),
+        ("newton", "--expr", "x*[0,1e400]", "--x0", "1"),
+        ("calc", "x+1e308±1e308", "--let", "x=1"),
     ),
     ids=lambda argv: " ".join(argv),
 )

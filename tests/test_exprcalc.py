@@ -268,9 +268,17 @@ def _outcome(parse_fn, text):
 def _assert_same_parse(text):
     want = _outcome(reference_parse, text)
     got = _outcome(parse, text)
-    if want == ("overflow",):
-        # the one intended difference: an exponent literal that overflows
-        # to inf is a syntax error instead of a bare OverflowError
+    if got[0] == "error" and got[1].startswith("literal is not finite"):
+        # an intended difference: a literal that is not finite is a syntax
+        # error at its position, so the reference either kept it in its AST
+        # or failed on a later token
+        if want[0] == "ast":
+            assert "inf" in want[1] or "nan" in want[1], text
+        elif want[0] == "error":
+            assert want[2] > got[2], text
+    elif want == ("overflow",):
+        # the other one: an exponent literal that overflows to inf is a
+        # syntax error instead of a bare OverflowError
         assert got[0] == "error" and got[1].startswith("exponent too large"), text
     else:
         assert got == want, text
@@ -321,3 +329,24 @@ def test_overflowing_exponent_literal_is_a_syntax_error(text):
     with pytest.raises(ExprSyntaxError) as exc:
         parse(text)
     assert "exponent too large" in str(exc.value) and exc.value.position == 3
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    (
+        ("1e400", 1),
+        ("x*1e400", 3),
+        ("x*[0,1e400]", 3),
+        ("x-[-1e400,0]", 3),
+        ("1e308±1e308", 1),
+        ("2+1±1e400", 3),
+        ("1e400±1e400", 1),
+        ("exp(1e400)", 5),
+        ("x+[0,1e400]*y^2", 3),
+    ),
+)
+def test_non_finite_literal_is_a_syntax_error(text, position):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert "literal is not finite" in str(exc.value)
+    assert exc.value.position == position

@@ -6,9 +6,11 @@ import pytest
 from helpers import (
     bits,
     close_ulps,
+    draw_coeff,
     draw_float,
     inf_norm,
     leq_ulps,
+    reference_collapse,
     reference_embed,
     vectors_close_ulps,
 )
@@ -221,6 +223,48 @@ def test_nan_collapse_is_a_domain_error(order):
         str(y * y - z * z)
     # An infinite endpoint without a NaN still collapses.
     assert (interval(1e300, order=order) * 1e300) == math.inf
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_collapse_matches_generator_loop_bit_for_bit(order):
+    # Signed zeros, subnormals, huge and infinite coefficients included; a
+    # NaN endpoint in the loop form is a DomainError in the library.
+    rng = random.Random(order + 95)
+    nan_seen = 0
+    for _ in range(10_000):
+        u = ia.AlgebraElement(order, tuple(draw_coeff(rng) for _ in range(order)))
+        lo, hi = reference_collapse(u)
+        if lo != lo or hi != hi:
+            nan_seen += 1
+            with pytest.raises(DomainError, match="NaN"):
+                collapse(u)
+        else:
+            g = collapse(u)
+            assert bits((g.lo, g.hi)) == bits((lo, hi)), u
+    assert nan_seen > 500
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_infinite_coefficient_collapse_is_a_domain_error(order):
+    # inf * 0.0 is NaN, so an infinite coefficient on a generator with a
+    # zero endpoint has no collapse, whatever the other coefficients are.
+    gens = ia.generator_endpoints(order)
+    for i, (glo, ghi) in enumerate(gens):
+        for inf in (math.inf, -math.inf):
+            coeffs = [0.0] * order
+            coeffs[i] = inf
+            u = ia.AlgebraElement(order, coeffs)
+            if glo == 0.0 or ghi == 0.0:
+                with pytest.raises(DomainError, match="NaN"):
+                    collapse(u)
+            else:
+                g = collapse(u)
+                assert math.isinf(g.lo) and math.isinf(g.hi)
+    # Opposite infinities meet as inf - inf.
+    coeffs = [0.0] * order
+    coeffs[0] = coeffs[3] = math.inf
+    with pytest.raises(DomainError, match="NaN"):
+        collapse(ia.AlgebraElement(order, coeffs))
 
 
 @pytest.mark.parametrize("order", ORDERS)

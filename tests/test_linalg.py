@@ -388,6 +388,41 @@ def test_power_step_inverts_the_norm_once(monkeypatch):
     ]
 
 
+def test_power_iteration_makes_one_matvec_per_step(monkeypatch):
+    # The Rayleigh quotient's M u is the next step's M u: k steps make k + 1
+    # matvecs, not 2k, with the bits of the two-matvec reference.  Each step
+    # adds n products each for the norm, the scaling and two dots, plus the
+    # quotient's one.
+    module = sys.modules["intalg.linalg"]
+    original = module.matvec
+    matvecs = []
+
+    def counted(m, u):
+        matvecs.append(1)
+        return original(m, u)
+
+    monkeypatch.setattr(module, "matvec", counted)
+    products = _count_products(monkeypatch)
+    rng = random.Random(8)
+    for n, iters in ((1, 1), (3, 4), (6, 10)):
+        rows = [[rng.uniform(0.5, 3.0) for _ in range(n)] for _ in range(n)]
+        m = deg_matrix(rows, eps=1e-3)
+        u0 = deg_vector([1.0] * n)
+        matvecs.clear()
+        products.clear()
+        res = power_iterate(m, u0, iters)
+        assert len(matvecs) == iters + 1
+        assert len(products) == (iters + 1) * n * n + iters * (4 * n + 1)
+        lam, vec, trace = reference_power_iterate(m, u0, iters)
+        assert bits(res.eigenvalue.element.coeffs) == bits(lam.element.coeffs)
+        assert [bits(e.element.coeffs) for e in res.eigenvector] == [
+            bits(e.element.coeffs) for e in vec
+        ]
+        assert [bits((r.x.lo, r.x.hi)) for r in res.trace] == [
+            bits((r.x.lo, r.x.hi)) for r in trace
+        ]
+
+
 def test_power_iteration_validation():
     with pytest.raises(ShapeMismatchError):
         power_iterate(deg_matrix(((1.0, 2.0),)), deg_vector((1.0, 1.0)), 3)
