@@ -115,13 +115,19 @@ class AlgebraOrder(IntEnum):
     ORDER_7 = 7
 
 
+_ORDERS = {int(order): order for order in AlgebraOrder}  # what AlgebraOrder(v) looks up first
+
+
 def _as_order(order: int | AlgebraOrder) -> AlgebraOrder:
     try:
-        return AlgebraOrder(order)
-    except ValueError:
-        raise UnsupportedOrderError(
-            f"unsupported algebra order {order!r}; choose one of 4, 5, 7"
-        ) from None
+        return _ORDERS[order]
+    except (KeyError, TypeError):
+        try:
+            return AlgebraOrder(order)
+        except ValueError:
+            raise UnsupportedOrderError(
+                f"unsupported algebra order {order!r}; choose one of 4, 5, 7"
+            ) from None
 
 
 # Generator intervals, in coefficient order.
@@ -393,13 +399,14 @@ def alg_inv(u: AlgebraElement) -> AlgebraElement:
     invertible element whose inverse has an entry too large for a float
     raises DomainError.
     """
-    if u.order != AlgebraOrder.ORDER_4:
+    if u.order is not AlgebraOrder.ORDER_4:
         raise UnsupportedOrderError("inversion is only defined at order 4")
-    s = to_split(u)
+    a1, a2, a3, a4 = u.coeffs
     try:
-        inv = from_split(SplitCoords(_split_inverse(*s.i1), _split_inverse(*s.i2)))
-        if all(map(math.isfinite, inv.coeffs)):
-            return inv
+        (x1, x4), (x2, x3) = _split_inverse(a1, a4), _split_inverse(a1 + a2, a3 + a4)
+        coeffs = (x1, x2 - x1, x3 - x4, x4)
+        if all(map(math.isfinite, coeffs)):
+            return _element(AlgebraOrder.ORDER_4, coeffs)
     except OverflowError:
         pass
     raise DomainError(f"the inverse of element {u.coeffs} is too large for a float")

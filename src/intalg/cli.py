@@ -94,6 +94,8 @@ def _cmd_calc(args) -> int:
         bindings[name] = interval(lo, hi, order=args.order, mode=mode)
     ast = parse(args.expr)
     result = evaluate(ast, bindings, mode=mode, order=args.order)
+    if not (math.isfinite(result.min) and math.isfinite(result.max)):
+        raise DomainError("the result overflows: an endpoint is not finite")
     print(_fmt(args, result))
     return 0
 

@@ -229,14 +229,9 @@ def _embed_point(lo: float, hi: float, order: AlgebraOrder) -> AlgebraElement:
     adds only zeros to v.  Taking hi - lo rather than 0.0 keeps the sign of
     that zero for the pair (0.0, -0.0).
     """
-    coeffs = [0.0] * int(order)
     if lo >= 0.0:
-        coeffs[0] = lo
-        coeffs[1] = hi - lo
-    else:
-        coeffs[3] = -hi
-        coeffs[2] = hi - lo
-    return _element(order, tuple(coeffs))
+        return _element(order, (lo, hi - lo, 0.0, 0.0, 0.0, 0.0, 0.0)[:order])
+    return _element(order, (0.0, 0.0, hi - lo, -hi, 0.0, 0.0, 0.0)[:order])
 
 
 def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement:
@@ -337,7 +332,7 @@ class IntervalNumber(_Record):
 
     # -- coercion and compatibility checks ---------------------------------
 
-    def _coerce(self, other) -> "IntervalNumber | None":
+    def _coerce(self, other) -> AlgebraElement | None:
         if isinstance(other, IntervalNumber):
             if other.mode is not self.mode:
                 raise ModeMismatchError(
@@ -347,9 +342,11 @@ class IntervalNumber(_Record):
                 raise OrderMismatchError(
                     f"mixed algebra orders: {int(self.order)} vs {int(other.order)}"
                 )
-            return other
+            return other.element
         if isinstance(other, (int, float)):
-            return _point(float(other), self.order, self.mode)
+            v = float(other)
+            _check_finite(v, v)
+            return _embed_point(v, v, self.order)
         return None
 
     # -- arithmetic ---------------------------------------------------------
@@ -364,7 +361,7 @@ class IntervalNumber(_Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return IntervalNumber(self.mode, self.element + o.element)
+        return IntervalNumber(self.mode, self.element + o)
 
     __radd__ = __add__
 
@@ -373,20 +370,22 @@ class IntervalNumber(_Record):
         if o is None:
             return NotImplemented
         if self.mode is ArithmeticMode.TRUE:
-            return IntervalNumber(self.mode, self.element - o.element)
-        return self + (-o)
+            return IntervalNumber(self.mode, self.element - o)
+        if not isinstance(other, IntervalNumber):
+            other = IntervalNumber(self.mode, o)
+        return self + (-other)
 
     def __rsub__(self, other) -> "IntervalNumber":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return IntervalNumber(self.mode, o) - self
 
     def __mul__(self, other) -> "IntervalNumber":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return IntervalNumber(self.mode, alg_mul(self.element, o.element))
+        return IntervalNumber(self.mode, alg_mul(self.element, o))
 
     __rmul__ = __mul__
 
@@ -394,13 +393,13 @@ class IntervalNumber(_Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _divide(self, o)
+        return _divide(self.mode, self.element, o)
 
     def __rtruediv__(self, other) -> "IntervalNumber":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _divide(o, self)
+        return _divide(self.mode, o, self.element)
 
     def __pow__(self, exponent) -> "IntervalNumber":
         return pow_int(self, exponent)
@@ -467,30 +466,30 @@ class IntervalNumber(_Record):
         )
 
 
-def _divide(x: IntervalNumber, y: IntervalNumber) -> IntervalNumber:
-    if x.order != AlgebraOrder.ORDER_4:
+def _divide(mode: ArithmeticMode, u: AlgebraElement, v: AlgebraElement) -> IntervalNumber:
+    if u.order is not AlgebraOrder.ORDER_4:
         raise UnsupportedOrderError(
-            f"interval division is only defined at order 4 (got order {int(x.order)})"
+            f"interval division is only defined at order 4 (got order {int(u.order)})"
         )
-    return IntervalNumber(x.mode, alg_mul(x.element, _reciprocal(y)))
+    return IntervalNumber(mode, alg_mul(u, _reciprocal(v, mode)))
 
 
-def _reciprocal(y: IntervalNumber) -> AlgebraElement:
+def _reciprocal(v: AlgebraElement, mode: ArithmeticMode) -> AlgebraElement:
     """``alg_inv`` of an order-4 divisor's element, its failures reported
-    against the divisor: DivisionNotAllowedError when y is not invertible,
+    against the divisor: DivisionNotAllowedError when v is not invertible,
     DomainError when the inverse is too large for a float."""
     try:
-        return alg_inv(y.element)
+        return alg_inv(v)
     except NotInvertibleError:
         raise DivisionNotAllowedError(
-            f"interval division not allowed: divisor {format_interval(y.raw)} "
+            f"interval division not allowed: divisor {format_interval(collapse(v))} "
             "is not invertible",
-            divisor=y,
+            divisor=IntervalNumber(mode, v),
         ) from None
     except DomainError:
         raise DomainError(
             f"interval division overflows: the inverse of divisor "
-            f"{format_interval(y.raw)} is too large for a float"
+            f"{format_interval(collapse(v))} is too large for a float"
         ) from None
 
 

@@ -274,7 +274,7 @@ def power_iterate(
     lam = None
     for k in range(1, iters + 1):
         norm = two_norm(w)
-        scale = IntervalNumber(norm.mode, _reciprocal(norm))
+        scale = IntervalNumber(norm.mode, _reciprocal(norm.element, norm.mode))
         u = IntervalVector(tuple(wi * scale for wi in w))
         w = matvec(m, u)  # the Rayleigh quotient's M u is the next step's
         lam = dot(u, w) / dot(u, u)

@@ -8,7 +8,7 @@ from typing import Callable
 
 from .algebra import _Record
 from .errors import ConvergenceError
-from .interval import ArithmeticMode, IntervalNumber, IterationRecord, interval
+from .interval import ArithmeticMode, IntervalNumber, IterationRecord, _point
 
 __all__ = [
     "FdStyle",
@@ -60,8 +60,22 @@ def _check_style(x: IntervalNumber, style: FdStyle) -> None:
         raise ValueError("full-style finite differences require true arithmetic")
 
 
-def _center(x: IntervalNumber) -> IntervalNumber:
-    return interval(x.midpoint, order=x.order, mode=x.mode)
+def _center(x: IntervalNumber, style: FdStyle) -> IntervalNumber:
+    return _point(x.midpoint, x.order, x.mode) if style is FdStyle.MIDPOINT else x
+
+
+def _quotient(d: IntervalNumber, q: float, x: IntervalNumber, style: FdStyle):
+    """d / q at x's order and mode; in midpoint style, the point d.midpoint / q."""
+    if style is FdStyle.MIDPOINT:
+        return _point(d.midpoint / q, x.order, x.mode)
+    return d / _point(q, x.order, x.mode)
+
+
+def _h_squared(h: float) -> float:
+    h2 = h * h
+    if h2 == 0.0:
+        raise ValueError(f"h={h!r} is too small for a second difference: h*h is 0")
+    return h2
 
 
 def fd_first(
@@ -72,12 +86,8 @@ def fd_first(
 ) -> IntervalNumber:
     """Central first difference (f(x+h) - f(x-h)) / 2h."""
     _check_style(x, style)
-    if style is FdStyle.MIDPOINT:
-        c = _center(x)
-        d = f(c + h) - f(c - h)
-        return interval(d.midpoint / (2.0 * h), order=x.order, mode=x.mode)
-    d = f(x + h) - f(x - h)
-    return d / interval(2.0 * h, order=x.order, mode=x.mode)
+    c = _center(x, style)
+    return _quotient(f(c + h) - f(c - h), 2.0 * h, x, style)
 
 
 def fd_second(
@@ -86,17 +96,12 @@ def fd_second(
     h: float = 1e-6,
     style: FdStyle = FdStyle.MIDPOINT,
 ) -> IntervalNumber:
-    """Central second difference (f(x+h) + f(x-h) - 2 f(x)) / h^2."""
+    """Central second difference (f(x+h) + f(x-h) - 2 f(x)) / h^2; a Newton
+    step shares f(x+h) and f(x-h) with its first difference."""
     _check_style(x, style)
-    h2 = h * h
-    if h2 == 0.0:
-        raise ValueError(f"h={h!r} is too small for a second difference: h*h is 0")
-    if style is FdStyle.MIDPOINT:
-        c = _center(x)
-        s = f(c + h) + f(c - h) - 2.0 * f(c)
-        return interval(s.midpoint / h2, order=x.order, mode=x.mode)
-    s = f(x + h) + f(x - h) - 2.0 * f(x)
-    return s / interval(h2, order=x.order, mode=x.mode)
+    h2 = _h_squared(h)
+    c = _center(x, style)
+    return _quotient(f(c + h) + f(c - h) - 2.0 * f(c), h2, x, style)
 
 
 def _descend(
@@ -147,12 +152,16 @@ def newton_raphson(
     x0: IntervalNumber,
     cfg: OptimizerConfig | None = None,
 ) -> tuple[IterationRecord, ...]:
-    """Critical-point search x <- x - f'(x)/f''(x) until norm(f'(x)) <= eps."""
+    """Critical-point search x <- x - f'(x)/f''(x) until norm(f'(x)) <= eps; a
+    step evaluates f once each at x+h, x-h and x for both differences."""
     cfg = cfg or OptimizerConfig(eps=1e-10)
 
     def step(x: IntervalNumber) -> IntervalNumber:
-        fp = fd_first(f, x, cfg.h, cfg.style)
-        fpp = fd_second(f, x, cfg.h, cfg.style)
+        h2 = _h_squared(cfg.h)
+        c = _center(x, cfg.style)
+        up, down = f(c + cfg.h), f(c - cfg.h)
+        fp = _quotient(up - down, 2.0 * cfg.h, x, cfg.style)
+        fpp = _quotient(up + down - 2.0 * f(c), h2, x, cfg.style)
         return x - fp / fpp
 
     return _descend(f, x0, cfg, step)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from intalg import (
     AlgebraOrder,
     DomainError,
+    FdStyle,
     IntervalMatrix,
     IntervalNumber,
     IntervalVector,
@@ -18,6 +19,7 @@ from intalg import (
     alg_mul,
     dot,
     generator_endpoints,
+    interval,
     matvec,
     structure_table,
     two_norm,
@@ -270,6 +272,63 @@ def reference_power_iterate(m, u0, iters: int):
         lam = dot(u, matvec(m, u)) / dot(u, u)
         trace.append(IterationRecord(k, lam.raw))
     return lam, u, tuple(trace)
+
+
+def reference_scalar(s: float, x: IntervalNumber) -> IntervalNumber:
+    """A real operand as the library coerced it before scalars went straight
+    to coefficients: the point interval ``interval(s)`` at x's order and mode.
+    Kept as the oracle for the scalar operand path of ``IntervalNumber``."""
+    return interval(s, order=x.order, mode=x.mode)
+
+
+def _reference_center(x: IntervalNumber, style: FdStyle) -> IntervalNumber:
+    if style is FdStyle.MIDPOINT:
+        return interval(x.midpoint, order=x.order, mode=x.mode)
+    return x
+
+
+def reference_fd_first(f, x: IntervalNumber, h: float, style: FdStyle):
+    """``fd_first`` with every real operand built by ``reference_scalar``."""
+    c = _reference_center(x, style)
+    d = f(c + reference_scalar(h, c)) - f(c - reference_scalar(h, c))
+    if style is FdStyle.MIDPOINT:
+        return interval(d.midpoint / (2.0 * h), order=x.order, mode=x.mode)
+    return d / reference_scalar(2.0 * h, x)
+
+
+def reference_fd_second(f, x: IntervalNumber, h: float, style: FdStyle):
+    """``fd_second`` with every real operand built by ``reference_scalar``;
+    ``2.0 * f(c)`` is written as the product the library formed for it."""
+    h2 = h * h
+    c = _reference_center(x, style)
+    up = f(c + reference_scalar(h, c))
+    down = f(c - reference_scalar(h, c))
+    fc = f(c)
+    s = up + down - fc * reference_scalar(2.0, fc)
+    if style is FdStyle.MIDPOINT:
+        return interval(s.midpoint / h2, order=x.order, mode=x.mode)
+    return s / reference_scalar(h2, x)
+
+
+def reference_newton_raphson(f, x0: IntervalNumber, cfg) -> tuple:
+    """Newton-Raphson as it took each step from separate ``fd_first`` and
+    ``fd_second`` calls, 8 evaluations of f an iteration.
+
+    Kept as the oracle for ``newton_raphson``, which evaluates f once at each
+    of x+h, x-h and x per step: the values are the same, so the two traces
+    agree bit for bit.  Returns the trace up to convergence or ``max_iter``
+    updates.
+    """
+    x = x0
+    trace = [IterationRecord(0, x.raw, f(x).raw)]
+    for k in range(1, cfg.max_iter + 1):
+        if reference_fd_first(f, x, cfg.h, cfg.style).norm <= cfg.eps:
+            break
+        fp = reference_fd_first(f, x, cfg.h, cfg.style)
+        fpp = reference_fd_second(f, x, cfg.h, cfg.style)
+        x = x - fp / fpp
+        trace.append(IterationRecord(k, x.raw, f(x).raw))
+    return tuple(trace)
 
 
 def _neighbors(value: float):

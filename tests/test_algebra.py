@@ -44,6 +44,7 @@ from intalg import (
     structure_table,
     to_split,
 )
+from intalg.algebra import _as_order
 from intalg.interval import GeneralizedInterval, collapse, mink_mul
 
 ORDERS = (4, 5, 7)
@@ -89,6 +90,28 @@ def test_only_three_orders_constructible():
         generator_endpoints(6)
     with pytest.raises(UnsupportedOrderError):
         AlgebraElement(3, (1.0, 2.0, 3.0))
+
+
+class _EqualsFour:
+    """Unhashable, and equal to 4: the enum finds it by comparison alone."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return other == 4
+
+
+@pytest.mark.parametrize(
+    "value", (4, 4.0, AlgebraOrder.ORDER_5, 6, 4.5, "4", True, None, [4], _EqualsFour())
+)
+def test_as_order_agrees_with_the_enum(value):
+    try:
+        want = AlgebraOrder(value)
+    except ValueError:
+        with pytest.raises(UnsupportedOrderError, match="unsupported algebra order"):
+            _as_order(value)
+    else:
+        assert _as_order(value) is want
 
 
 def test_public_constructor_validates_and_normalizes():

@@ -135,6 +135,18 @@ def test_calc_nan_result_exits_2(capsys, expr):
     assert out == "" and "NaN" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    (("1e300*1e300",), ("--", "-1e300*1e300"), ("1e308+1e308",), ("exp(700)*exp(700)",)),
+)
+def test_calc_infinite_result_exits_2(capsys, args):
+    # an overflowed endpoint is no answer to print; compare-mul rejects the
+    # same products
+    code, out, err = run_cli(capsys, "calc", *args)
+    assert code == 2
+    assert out == "" and "overflows" in err and "Traceback" not in err
+
+
 def test_calc_parse_error_position(capsys):
     code, _, err = run_cli(capsys, "calc", "x*+")
     assert code == 2

@@ -12,6 +12,7 @@ from helpers import (
     leq_ulps,
     reference_collapse,
     reference_embed,
+    reference_scalar,
     vectors_close_ulps,
 )
 
@@ -100,6 +101,53 @@ def test_non_finite_scalars_raise_domain_error():
         assert not p == math.inf and not p == -math.inf
     assert math.nan not in [x]
     assert (interval(1e300) * 1e300) == math.inf
+
+
+_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+def _outcome(fn):
+    """An operation's result as (mode, order, coefficient bits), or its
+    exception as (type, message)."""
+    try:
+        r = fn()
+    except ia.IntalgError as exc:
+        return type(exc), str(exc)
+    return r.mode, r.order, bits(r.element.coeffs)
+
+
+@pytest.mark.parametrize("op", ("+", "-", "*", "/"))
+def test_non_finite_scalars_raise_domain_error_on_either_side(op):
+    for order in ORDERS:
+        for mode in (TRUE, SEM):
+            x = interval(-1, 2, order=order, mode=mode)
+            for s in (math.inf, -math.inf, math.nan):
+                for a, b in ((x, s), (s, x)):
+                    with pytest.raises(DomainError, match="finite"):
+                        _OPS[op](a, b)
+
+
+@pytest.mark.parametrize("op", ("+", "-", "*", "/"))
+@pytest.mark.parametrize("order", ORDERS)
+def test_scalar_operands_match_point_intervals_bit_for_bit(op, order):
+    # A real operand goes straight to its point element; it must give what
+    # the interval number interval(s) did as the operand, on either side.
+    fn = _OPS[op]
+    xs = [(-1.0, 2.0), (3.0, 12.0), (2.0, -1.0), (-4.0, -0.5), (0.0, 0.0), (-0.0, 1e300)]
+    for mode in (TRUE, SEM):
+        for lo, hi in xs:
+            x = interval(lo, hi, order=order, mode=mode)
+            for s in (0.0, -0.0, 5e-324, -3.0, 1e308, 7):
+                point = reference_scalar(s, x)
+                got, want = _outcome(lambda: fn(x, s)), _outcome(lambda: fn(x, point))
+                assert got == want, (x, s)
+                got, want = _outcome(lambda: fn(s, x)), _outcome(lambda: fn(point, x))
+                assert got == want, (s, x)
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -1,6 +1,13 @@
 import math
+import random
 
 import pytest
+from helpers import (
+    bits,
+    reference_fd_first,
+    reference_fd_second,
+    reference_newton_raphson,
+)
 
 import intalg as ia
 from intalg import (
@@ -26,6 +33,30 @@ def xexp(x):
 
 def square(x):
     return x**2
+
+
+def quartic(x):
+    return (x**2 - 1) ** 2
+
+
+def expm2x(x):
+    return ia.exp(x) - 2 * x
+
+
+class Counted:
+    """An objective that counts its evaluations."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def trace_bits(trace):
+    return [(r.index, bits((r.x.lo, r.x.hi, r.fx.lo, r.fx.hi))) for r in trace]
 
 
 # -- finite differences ---------------------------------------------------------
@@ -88,6 +119,57 @@ def test_config_validation():
 def test_fd_second_rejects_h_whose_square_underflows(style):
     with pytest.raises(ValueError, match="h=1e-200"):
         fd_second(square, interval(1, 1), 1e-200, style)
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+@pytest.mark.parametrize("f", (xexp, quartic, expm2x))
+def test_fd_values_match_reference_bit_for_bit(style, f):
+    rng = random.Random(31)
+    for _ in range(20):
+        x = interval(rng.uniform(-2.0, 2.0), eps=rng.choice((0.0, 0.05, 0.1)))
+        h = rng.choice((1e-6, 1e-4, 1e-3))
+        for got, want in (
+            (fd_first(f, x, h, style), reference_fd_first(f, x, h, style)),
+            (fd_second(f, x, h, style), reference_fd_second(f, x, h, style)),
+        ):
+            assert bits(got.element.coeffs) == bits(want.element.coeffs)
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+def test_fd_evaluation_counts(style):
+    f = Counted(xexp)
+    fd_first(f, interval(2, eps=0.1), 1e-6, style)
+    assert f.calls == 2
+    f = Counted(xexp)
+    fd_second(f, interval(2, eps=0.1), 1e-6, style)
+    assert f.calls == 3
+
+
+def _evaluations(method, f, cfg):
+    counted = Counted(f)
+    try:
+        method(counted, interval(2, eps=0.1), cfg)
+    except ConvergenceError:
+        pass
+    return counted.calls
+
+
+def test_gradient_iteration_costs_five_evaluations():
+    # the stopping test's two, the update's two and the trace's f(x); the
+    # benchmark tracer's self-check counts the same
+    calls = [_evaluations(gradient_descent, xexp, OptimizerConfig(max_iter=n)) for n in (1, 2)]
+    assert calls[1] - calls[0] == 5
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+def test_newton_iteration_costs_six_evaluations(style):
+    # the stopping test's two, one each at x+h, x-h and x for both
+    # differences of the step, and the trace's f(x)
+    calls = [
+        _evaluations(newton_raphson, quartic, OptimizerConfig(eps=1e-10, max_iter=n, style=style))
+        for n in (1, 2)
+    ]
+    assert calls[1] - calls[0] == 6
 
 
 # -- gradient descent -----------------------------------------------------------
@@ -154,6 +236,25 @@ def test_newton_quartic_critical_points():
             lambda x: (x**2 - 1) ** 2, interval(start, eps=0.1), cfg
         )
         assert abs(trace[-1].x.midpoint - target) < 1e-6
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+@pytest.mark.parametrize("f", (xexp, quartic, expm2x))
+def test_newton_traces_match_reference_bit_for_bit(style, f):
+    rng = random.Random(17)
+    for _ in range(6):
+        x0 = interval(round(rng.uniform(-2.0, 2.0), 3), eps=rng.choice((0.0, 0.05, 0.1)))
+        cfg = OptimizerConfig(h=rng.choice((1e-6, 1e-4)), eps=1e-10, max_iter=60, style=style)
+        want = trace_bits(reference_newton_raphson(f, x0, cfg))
+        assert trace_bits(newton_raphson(f, x0, cfg)) == want
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+def test_newton_rejects_h_whose_square_underflows(style):
+    # the step checks h*h as fd_second does: at 0, f(h) - f(-h) of x e^x
+    # does not vanish although h*h does
+    with pytest.raises(ValueError, match="h=1e-170"):
+        newton_raphson(xexp, interval(0.0), OptimizerConfig(h=1e-170, style=style))
 
 
 # -- trace CSV --------------------------------------------------------------------
