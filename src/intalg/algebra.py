@@ -39,7 +39,6 @@ __all__ = [
     "alg_inv",
     "is_invertible",
     "to_split",
-    "from_split",
 ]
 
 
@@ -362,13 +361,6 @@ def to_split(u: AlgebraElement) -> SplitCoords:
     return SplitCoords(i1=(a1, a4), i2=(a1 + a2, a3 + a4))
 
 
-def from_split(s: SplitCoords) -> AlgebraElement:
-    """Inverse change of basis from split coordinates."""
-    x1, x4 = s.i1
-    x2, x3 = s.i2
-    return _element(AlgebraOrder.ORDER_4, (x1, x2 - x1, x3 - x4, x4))
-
-
 def _split_inverse(u: float, v: float) -> tuple[float, float]:
     # Split-complex inverse: (u, v)^-1 = (u, -v) / (u^2 - v^2).  The squares
     # are formed on the pair scaled by 2**-e, which brings its larger entry
@@ -400,7 +392,9 @@ def alg_inv(u: AlgebraElement) -> AlgebraElement:
     raises DomainError.
     """
     if u.order is not AlgebraOrder.ORDER_4:
-        raise UnsupportedOrderError("inversion is only defined at order 4")
+        raise UnsupportedOrderError(
+            f"inversion is only defined at order 4 (got order {int(u.order)})"
+        )
     a1, a2, a3, a4 = u.coeffs
     try:
         (x1, x4), (x2, x3) = _split_inverse(a1, a4), _split_inverse(a1 + a2, a3 + a4)

@@ -57,27 +57,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in ArithmeticMode],
-        default=ArithmeticMode.TRUE.value,
-        help="arithmetic mode (default: true)",
-    )
-    p.add_argument(
-        "--order",
-        type=int,
-        choices=[int(o) for o in AlgebraOrder],
-        default=4,
-        help="algebra order (default: 4; division needs 4)",
-    )
-    p.add_argument(
-        "--raw",
-        action="store_true",
-        help="print raw (lo,hi) pairs instead of canonical [min,max]",
-    )
-
-
 def _parse_binding(text: str) -> tuple[str, tuple[float, float]]:
     name, sep, literal = text.partition("=")
     name = name.strip()
@@ -131,7 +110,7 @@ def _make_function(expr_text: str, mode: ArithmeticMode, order: int):
     return f
 
 
-def _run_optimizer(args, runner) -> int:
+def _run_optimizer(args) -> int:
     mode = _mode(args)
     f = _make_function(args.expr, mode, args.order)
     lo, hi = parse_interval_literal(args.x0)
@@ -143,26 +122,19 @@ def _run_optimizer(args, runner) -> int:
         max_iter=args.max_iter,
         style=FdStyle(args.style),
     )
+    trace = None
     try:
-        trace = runner(f, x0, cfg)
+        trace = args.runner(f, x0, cfg)
     except ConvergenceError as err:
-        if args.csv and err.trace:
-            write_trace_csv(args.csv, err.trace)
+        trace = err.trace
         raise
-    if args.csv:
-        write_trace_csv(args.csv, trace)
+    finally:
+        if args.csv and trace:
+            write_trace_csv(args.csv, trace)
     last = trace[-1]
     print(f"final: {format_interval(last.x, raw=args.raw)}")
     print(f"iterations: {last.index}")
     return 0
-
-
-def _cmd_gradient(args) -> int:
-    return _run_optimizer(args, gradient_descent)
-
-
-def _cmd_newton(args) -> int:
-    return _run_optimizer(args, newton_raphson)
 
 
 def _load_matrix(args) -> IntervalMatrix:
@@ -218,9 +190,32 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Shared flags as parent parsers.  compare-mul takes only --raw: it shows
+    # every order, and a product is the same in both modes.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--mode",
+        choices=[m.value for m in ArithmeticMode],
+        default=ArithmeticMode.TRUE.value,
+        help="arithmetic mode (default: true)",
+    )
+    common.add_argument(
+        "--order",
+        type=int,
+        choices=[int(o) for o in AlgebraOrder],
+        default=4,
+        help="algebra order (default: 4; division needs 4)",
+    )
+    raw = argparse.ArgumentParser(add_help=False)
+    raw.add_argument(
+        "--raw",
+        action="store_true",
+        help="print raw (lo,hi) pairs instead of canonical [min,max]",
+    )
 
-    p = sub.add_parser("calc", help="evaluate an interval expression")
-    _common_flags(p)
+    p = sub.add_parser(
+        "calc", parents=[common, raw], help="evaluate an interval expression"
+    )
     p.add_argument(
         "--let",
         action="append",
@@ -231,19 +226,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_calc, algo_exit=2)
 
     p = sub.add_parser(
-        "compare-mul", help="compare a product across the set extension and all orders"
+        "compare-mul",
+        parents=[raw],
+        help="compare a product across the set extension and all orders",
     )
-    _common_flags(p)
     p.add_argument("--x", required=True, help="left factor, e.g. [-2,3]")
     p.add_argument("--y", required=True, help="right factor, e.g. [-4,2]")
     p.set_defaults(handler=_cmd_compare_mul, algo_exit=2)
 
-    for name, handler, eps_default in (
-        ("gradient", _cmd_gradient, 1e-6),
-        ("newton", _cmd_newton, 1e-10),
+    for name, runner, eps_default in (
+        ("gradient", gradient_descent, 1e-6),
+        ("newton", newton_raphson, 1e-10),
     ):
-        p = sub.add_parser(name, help=f"run {name} on an expression in x")
-        _common_flags(p)
+        p = sub.add_parser(
+            name, parents=[common, raw], help=f"run {name} on an expression in x"
+        )
         p.add_argument("--expr", required=True, help="objective, e.g. 'x*exp(x)'")
         p.add_argument("--x0", required=True, help="start interval, e.g. 2±0.1")
         if name == "gradient":
@@ -262,18 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--max-iter", type=int, default=100_000)
         p.add_argument("--csv", help="write the iteration trace to this path")
-        p.set_defaults(handler=handler, algo_exit=3)
+        p.set_defaults(handler=_run_optimizer, runner=runner, algo_exit=3)
 
     for name, handler in (("eigen", _cmd_eigen), ("invert", _cmd_invert)):
         p = sub.add_parser(
             name,
+            parents=[common, raw],
             help=(
                 "power iteration on an interval matrix"
                 if name == "eigen"
                 else "Schulz-Hotelling inversion of an interval matrix"
             ),
         )
-        _common_flags(p)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--file", help="matrix file (rows of interval literals)")
         src.add_argument("--demo", choices=sorted(DEMO_MATRICES))

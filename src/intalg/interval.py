@@ -41,7 +41,6 @@ from .errors import (
     ModeMismatchError,
     NotInvertibleError,
     OrderMismatchError,
-    UnsupportedOrderError,
 )
 
 __all__ = [
@@ -393,13 +392,13 @@ class IntervalNumber(_Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _divide(self.mode, self.element, o)
+        return IntervalNumber(self.mode, alg_mul(self.element, _reciprocal(o, self.mode)))
 
     def __rtruediv__(self, other) -> "IntervalNumber":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _divide(self.mode, o, self.element)
+        return IntervalNumber(self.mode, alg_mul(o, _reciprocal(self.element, self.mode)))
 
     def __pow__(self, exponent) -> "IntervalNumber":
         return pow_int(self, exponent)
@@ -466,18 +465,11 @@ class IntervalNumber(_Record):
         )
 
 
-def _divide(mode: ArithmeticMode, u: AlgebraElement, v: AlgebraElement) -> IntervalNumber:
-    if u.order is not AlgebraOrder.ORDER_4:
-        raise UnsupportedOrderError(
-            f"interval division is only defined at order 4 (got order {int(u.order)})"
-        )
-    return IntervalNumber(mode, alg_mul(u, _reciprocal(v, mode)))
-
-
 def _reciprocal(v: AlgebraElement, mode: ArithmeticMode) -> AlgebraElement:
-    """``alg_inv`` of an order-4 divisor's element, its failures reported
-    against the divisor: DivisionNotAllowedError when v is not invertible,
-    DomainError when the inverse is too large for a float."""
+    """``alg_inv`` of a divisor's element, which raises UnsupportedOrderError
+    unless v has order 4; its other failures are reported against the
+    divisor: DivisionNotAllowedError when v is not invertible, DomainError
+    when the inverse is too large for a float."""
     try:
         return alg_inv(v)
     except NotInvertibleError:
@@ -540,6 +532,7 @@ def compare(x: IntervalNumber, y: IntervalNumber) -> int:
 def scalar_mul(a: float, x: IntervalNumber) -> IntervalNumber:
     """Scale by a real: nonnegative factors scale coefficients directly."""
     a = float(a)
+    _check_finite(a, a)
     if a >= 0.0 or x.mode is ArithmeticMode.TRUE:
         return IntervalNumber(x.mode, x.element.scale(a))
     return scalar_mul(-a, -x)

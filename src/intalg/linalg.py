@@ -157,10 +157,7 @@ def identity_matrix(
     one = interval(1.0, order=order, mode=mode)
     zero = interval(0.0, order=order, mode=mode)
     return IntervalMatrix(
-        tuple(
-            IntervalVector(tuple(one if i == j else zero for j in range(n)))
-            for i in range(n)
-        )
+        tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
     )
 
 
@@ -207,10 +204,7 @@ def matvec(m: IntervalMatrix, u: IntervalVector) -> IntervalVector:
 def transpose(m: IntervalMatrix) -> IntervalMatrix:
     nrows, ncols = m.shape
     return IntervalMatrix(
-        tuple(
-            IntervalVector(tuple(m.rows[i][j] for i in range(nrows)))
-            for j in range(ncols)
-        )
+        tuple(tuple(m.rows[i][j] for i in range(nrows)) for j in range(ncols))
     )
 
 
@@ -225,9 +219,7 @@ def matmul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
     cols = [[e.element for e in col] for col in zip(*(r.entries for r in b.rows))]
     return IntervalMatrix(
         tuple(
-            IntervalVector(
-                tuple(IntervalNumber(mode, _dot(row, col)) for col in cols)
-            )
+            tuple(IntervalNumber(mode, _dot(row, col)) for col in cols)
             for row in ([e.element for e in r.entries] for r in a.rows)
         )
     )
@@ -355,19 +347,18 @@ def parse_matrix_text(
     order: int | AlgebraOrder = 4,
     mode: ArithmeticMode = ArithmeticMode.TRUE,
 ) -> IntervalMatrix:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        entries = [
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ShapeMismatchError("matrix text contained no rows")
+    # IntervalMatrix wraps each row as it is parsed, so the first bad line
+    # raises first, be it an empty row or a bad literal.
+    return IntervalMatrix(
+        [
             interval(*parse_interval_literal(tok), order=order, mode=mode)
             for tok in _split_entries(line)
         ]
-        rows.append(IntervalVector(tuple(entries)))
-    if not rows:
-        raise ShapeMismatchError("matrix text contained no rows")
-    return IntervalMatrix(tuple(rows))
+        for line in lines
+    )
 
 
 def format_matrix(m: IntervalMatrix, raw: bool = False) -> str:

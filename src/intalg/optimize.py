@@ -51,6 +51,8 @@ class OptimizerConfig(_Record):
             raise ValueError("rho must be positive and finite")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
+        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -112,15 +114,14 @@ def _descend(
 ) -> tuple[IterationRecord, ...]:
     x = x0
     trace = [IterationRecord(0, x.raw, f(x).raw)]
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, cfg.max_iter + 2):  # the last pass only tests
         fp = fd_first(f, x, cfg.h, cfg.style)
         if fp.norm <= cfg.eps:
             return tuple(trace)
+        if k > cfg.max_iter:
+            break
         x = step(x)
         trace.append(IterationRecord(k, x.raw, f(x).raw))
-    fp = fd_first(f, x, cfg.h, cfg.style)
-    if fp.norm <= cfg.eps:
-        return tuple(trace)
     raise ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations "
         f"(derivative norm {fp.norm:.3e} > {cfg.eps:.3e})",

@@ -27,11 +27,11 @@ def test_all_names_resolve_once():
         assert getattr(intalg, name, None) is not None, name
 
 
-@pytest.mark.parametrize("name", ("scalar_add", "contains"))
+@pytest.mark.parametrize("name", ("scalar_add", "contains", "from_split"))
 def test_removed_functions_are_gone(name):
-    assert not hasattr(intalg, name)
-    assert not hasattr(interval_module, name)
-    assert name not in intalg.__all__
+    for module in (intalg, interval_module, algebra):
+        assert not hasattr(module, name)
+        assert name not in module.__all__
 
 
 def test_removed_methods_are_gone():

@@ -160,6 +160,13 @@ def test_calc_higher_order(capsys):
     assert code == 0 and out.strip() == "[-12.0,8.0]"
 
 
+@pytest.mark.parametrize("binding", ("a", "=[1,2]", "1a=[1,2]", "a=[1,", "a=[0,inf]"))
+def test_calc_malformed_binding_exits_2(capsys, binding):
+    code, out, err = run_cli(capsys, "calc", "--let", binding, "1")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bad_order_rejected(capsys):
     code, _, _ = run_cli(capsys, "calc", "--order", "6", "x")
     assert code == 2
@@ -175,6 +182,20 @@ def test_compare_mul_table(capsys):
     assert "[-16.0,14.0]" in lines[1] and "width 30.0" in lines[1]
     assert "[-12.0,10.0]" in lines[2] and "width 22.0" in lines[2]
     assert "[-12.0,8.0]" in lines[3] and "width 20.0" in lines[3]
+
+
+@pytest.mark.parametrize("flag", (("--mode", "semantic"), ("--order", "7")))
+def test_compare_mul_takes_no_mode_or_order(capsys, flag):
+    # every order is shown, so the flags would have nothing to choose
+    code, out, err = run_cli(capsys, "compare-mul", *flag, "--x", "[-2,3]", "--y", "[-4,2]")
+    assert code == 2
+    assert out == "" and f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+def test_compare_mul_raw(capsys):
+    code, out, _ = run_cli(capsys, "compare-mul", "--raw", "--x", "[-2,3]", "--y", "[-4,2]")
+    assert code == 0
+    assert "(-16.0,14.0)" in out.splitlines()[1]
 
 
 def test_compare_mul_same_piece(capsys):

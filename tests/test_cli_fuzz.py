@@ -100,7 +100,9 @@ def _calc():
 
 
 def _compare_mul():
-    return st.tuples(COMMON, LITERALS, LITERALS).map(
+    # compare-mul takes no --mode or --order: it shows every order.
+    raw = st.lists(st.just("--raw"), max_size=1)
+    return st.tuples(raw, LITERALS, LITERALS).map(
         lambda t: ["compare-mul", *t[0], f"--x={t[1]}", f"--y={t[2]}"]
     )
 

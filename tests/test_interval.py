@@ -478,8 +478,11 @@ def test_division_by_unit_is_identity():
 
 
 def test_division_rejected_outside_order_4():
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(UnsupportedOrderError, match=r"\(got order 7\)"):
         interval(1, 2, order=7) / interval(1, 2, order=7)
+    for x, y in ((interval(1, 2, order=5), 2.0), (2.0, interval(1, 2, order=5))):
+        with pytest.raises(UnsupportedOrderError, match=r"\(got order 5\)"):
+            x / y
 
 
 def test_division_distributes():
@@ -495,6 +498,33 @@ def test_division_distributes():
         lhs = (x - y) / c
         rhs = x / c - y / c
         assert vectors_close_ulps(lhs.element.coeffs, rhs.element.coeffs, 8, scale=scale)
+
+
+# -- scalar_mul -----------------------------------------------------------------
+
+@pytest.mark.parametrize("factor", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("mode", (TRUE, SEM))
+def test_scalar_mul_rejects_non_finite_factors(factor, mode):
+    # raised at the call, as x * factor does, not when the result is read
+    for order in ORDERS:
+        with pytest.raises(DomainError, match="finite"):
+            scalar_mul(factor, interval(-1, 2, order=order, mode=mode))
+
+
+@pytest.mark.parametrize("mode", (TRUE, SEM))
+def test_scalar_mul_finite_factors_scale_coefficients(mode):
+    # true mode scales the coefficients; semantic mode negates the interval
+    # first for a negative factor
+    for order in ORDERS:
+        for lo, hi in ((-1, 2), (3, 3.5)):
+            x = interval(lo, hi, order=order, mode=mode)
+            for a in (0.0, -0.0, 5e-324, 2.5, -3.0, 1e308, 7):
+                if a >= 0.0 or mode is TRUE:
+                    want = x.element.scale(float(a))
+                else:
+                    want = (-x).element.scale(-float(a))
+                got = scalar_mul(a, x)
+                assert got.mode is mode and bits(got.element.coeffs) == bits(want.coeffs)
 
 
 # -- width / midpoint / norm --------------------------------------------------
@@ -531,6 +561,8 @@ def test_compare_session_examples():
     assert a < b
     assert d < c
     assert compare(a, a) == 0
+    assert a <= b and a <= a and not b <= a
+    assert b >= a and a >= a and not a >= b
 
 
 def test_compare_nested_uses_width():
@@ -551,6 +583,15 @@ def test_contains():
     assert interval(1, 2).contains(interval(1, 2))
     assert not interval(0, 1).contains(interval(0, 2))
     assert interval(0, 2).contains(1.5)
+    for op in (
+        lambda x: x.contains("1"),
+        lambda x: x < "1",
+        lambda x: x <= "1",
+        lambda x: x > "1",
+        lambda x: x >= "1",
+    ):
+        with pytest.raises(TypeError, match="cannot compare"):
+            op(interval(0, 2))
 
 
 def test_comparison_ignores_mode_and_order():
@@ -589,6 +630,10 @@ def test_mink_examples():
     assert mink_div(gi(1, 2), gi(4, 8)) == gi(0.125, 0.5)
     with pytest.raises(ZeroDivisionError):
         mink_div(gi(1, 2), gi(-1, 1))
+    for op in (mink_add, mink_sub, mink_mul, mink_div):
+        for x, y in ((gi(2, 1), gi(3, 4)), (gi(3, 4), gi(2, 1))):
+            with pytest.raises(ValueError, match=f"{op.__name__} requires proper"):
+                op(x, y)
 
 
 def test_mink_mul_against_dense_sampling():

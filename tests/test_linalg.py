@@ -65,6 +65,18 @@ def test_identity_matvec():
     )
 
 
+def test_matmul_operator_dispatches_on_the_right_operand():
+    m, u = deg_matrix(M2, eps=0.1), IntervalVector([interval(-1, 2), interval(3, 4)])
+    assert [bits(e.element.coeffs) for e in m @ u] == [
+        bits(e.element.coeffs) for e in matvec(m, u)
+    ]
+    assert [bits(e.element.coeffs) for r in (m @ m).rows for e in r] == [
+        bits(e.element.coeffs) for r in matmul(m, m).rows for e in r
+    ]
+    with pytest.raises(TypeError):
+        m @ interval(1)
+
+
 def test_degenerate_matvec():
     w = matvec(deg_matrix(M2), deg_vector((1.0, 1.0)))
     assert [e.canonical for e in w] == [
@@ -81,6 +93,8 @@ def test_dot_and_shapes():
         dot(u, deg_vector((1.0, 2.0)))
     with pytest.raises(ShapeMismatchError):
         matmul(deg_matrix(M2), deg_matrix(M3))
+    with pytest.raises(ShapeMismatchError, match="cannot multiply vector of length 3"):
+        matvec(deg_matrix(M2), u)
 
 
 @pytest.mark.parametrize("order", (4, 5, 7))
@@ -277,6 +291,16 @@ def test_vector_matrix_validation():
         IntervalMatrix([[interval(1), interval(2)], [interval(1, mode=SEM)] * 2])
     with pytest.raises(ia.OrderMismatchError, match="matrix"):
         IntervalMatrix([[interval(1)], [interval(1)], [interval(1, order=5)]])
+    with pytest.raises(ShapeMismatchError, match="matrix must not be empty"):
+        IntervalMatrix([])
+    u2, u3 = deg_vector((1.0, 2.0)), deg_vector((1.0, 2.0, 3.0))
+    m2, m3 = deg_matrix(M2), deg_matrix(M3)
+    for shorter, longer, what in ((u2, u3, "vector lengths"), (m2, m3, "matrix shapes")):
+        for a, b in ((shorter, longer), (longer, shorter)):
+            with pytest.raises(ShapeMismatchError, match=f"{what} differ"):
+                a + b
+            with pytest.raises(ShapeMismatchError, match=f"{what} differ"):
+                a - b
 
 
 # -- two_norm -----------------------------------------------------------------
@@ -426,6 +450,8 @@ def test_power_iteration_makes_one_matvec_per_step(monkeypatch):
 def test_power_iteration_validation():
     with pytest.raises(ShapeMismatchError):
         power_iterate(deg_matrix(((1.0, 2.0),)), deg_vector((1.0, 1.0)), 3)
+    with pytest.raises(ShapeMismatchError, match="start vector length"):
+        power_iterate(deg_matrix(M2), deg_vector((1.0, 1.0, 1.0)), 3)
     with pytest.raises(UnsupportedOrderError):
         power_iterate(deg_matrix(M2, order=5), deg_vector((1.0, 1.0), order=5), 3)
 
@@ -532,6 +558,9 @@ def test_parse_matrix_text_errors():
         parse_matrix_text("[1,2],oops")
     with pytest.raises(ValueError, match="finite"):
         parse_matrix_text("[0,1e400]")
+    # rows are checked in order: an empty row fails before a later bad literal
+    with pytest.raises(ShapeMismatchError, match="vector must not be empty"):
+        parse_matrix_text("1,2\n , \n[1,2],oops")
 
 
 def test_format_matrix_session_layout():

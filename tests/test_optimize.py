@@ -110,6 +110,7 @@ def test_config_validation():
     for bad in (
         dict(h=0), dict(rho=-1), dict(eps=0), dict(max_iter=0),
         dict(h=nan), dict(rho=nan), dict(eps=nan), dict(h=inf), dict(rho=inf),
+        dict(max_iter=2.5), dict(max_iter=3.0), dict(max_iter=True), dict(max_iter="3"),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             OptimizerConfig(**bad)
@@ -203,6 +204,30 @@ def test_gradient_descent_midpoints_decrease_towards_minimum():
     mids = [r.x.midpoint for r in trace]
     assert all(a > b for a, b in zip(mids, mids[1:]))
     assert mids[0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "method, f, cfg",
+    (
+        (gradient_descent, square, OptimizerConfig(rho=0.25)),
+        (newton_raphson, quartic, OptimizerConfig(eps=1e-10)),
+        (newton_raphson, quartic, OptimizerConfig(eps=1e-10, style=FdStyle.FULL)),
+    ),
+)
+def test_descent_converges_on_its_last_allowed_update(method, f, cfg):
+    # a run that needs n updates succeeds with max_iter=n, and with one
+    # fewer fails carrying the same trace less its last row
+    x0 = interval(2, eps=0.1)
+    trace = method(f, x0, cfg)
+    n = trace[-1].index
+    assert n > 1
+    exact = OptimizerConfig(cfg.h, cfg.rho, cfg.eps, n, cfg.style)
+    assert trace_bits(method(f, x0, exact)) == trace_bits(trace)
+    short = OptimizerConfig(cfg.h, cfg.rho, cfg.eps, n - 1, cfg.style)
+    with pytest.raises(ConvergenceError) as exc:
+        method(f, x0, short)
+    assert trace_bits(exc.value.trace) == trace_bits(trace[:-1])
+    assert exc.value.residual > cfg.eps
 
 
 def test_gradient_max_iter_error_carries_trace():
