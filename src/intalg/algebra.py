@@ -53,8 +53,11 @@ class _Record:
     with class-attribute values as defaults, that calls ``__post_init__``
     when the class defines one.  Fields are instance attributes, stored with
     ``object.__setattr__``, which pickling and copying restore directly.
+    The base has no slots of its own, so a subclass that declares
+    ``__slots__`` has no instance ``__dict__``.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
@@ -104,6 +107,15 @@ def _field_init(cls):
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError, naming the argument, unless value is an int (a bool
+    is not one here) of at least 1: an iteration count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 class AlgebraOrder(IntEnum):
@@ -327,6 +339,9 @@ def _check_orders(u: AlgebraElement, v: AlgebraElement) -> None:
 
 def alg_mul(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the structure table.
+
+    Reads only ``order`` and ``coeffs`` of its arguments, so interval numbers
+    may stand in for elements.
 
     Terms are accumulated over unordered index pairs so that the result is
     bit-identical under argument swap (the tables are symmetric and float

@@ -5,6 +5,12 @@ generators and then lives as a coefficient vector until a result is needed;
 collapsing back to endpoints mid-computation would forfeit distributivity,
 so arithmetic here never does it implicitly.
 
+An ``IntervalNumber`` is one flat object: mode, order, coefficient tuple and
+a cached endpoint pair.  Its operators run the order's generated kernels
+(``algebra._MUL``, ``_ADD``, ...) on coefficient tuples, a real operand goes
+straight to the coefficients of its point interval, and the
+``AlgebraElement`` view is built only when asked for.
+
 Two subtraction semantics coexist:
 
 * ``TRUE``      - subtraction is coefficientwise, so x - x == [0, 0] and
@@ -25,15 +31,20 @@ from enum import Enum
 from typing import Callable
 
 from .algebra import (
+    _ADD,
     _COLLAPSE,
     _GENERATORS,
+    _MUL,
+    _NEG,
+    _SCALE,
+    _SUB,
     AlgebraElement,
     AlgebraOrder,
     _as_order,
     _element,
     _Record,
     alg_inv,
-    alg_mul,
+    alg_mul,  # noqa: F401  (a binding that product counters wrap, as in linalg)
 )
 from .errors import (
     DivisionNotAllowedError,
@@ -167,8 +178,9 @@ _CONES = {
 }
 
 
-def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> AlgebraElement:
-    """Embed finite lo < hi as a*e_ia + b*e_ib on the rays of its cone.
+def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...]:
+    """The coefficients of finite lo < hi as a*e_ia + b*e_ib on the rays of
+    its cone.
 
     When e_ib has a zero endpoint, the other endpoint's equation fixes a
     alone; otherwise a comes from Cramer's rule.  b then solves the hi
@@ -211,7 +223,7 @@ def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> AlgebraElement:
         )
     coeffs = [0.0] * len(gens)
     coeffs[ia], coeffs[ib] = best
-    return _element(order, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _check_finite(lo: float, hi: float) -> None:
@@ -219,8 +231,9 @@ def _check_finite(lo: float, hi: float) -> None:
         raise DomainError(f"interval endpoints must be finite, got ({lo!r}, {hi!r})")
 
 
-def _embed_point(lo: float, hi: float, order: AlgebraOrder) -> AlgebraElement:
-    """``embed(lo, hi, order)`` for finite ``lo == hi``, in closed form.
+def _embed_point(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...]:
+    """The coefficients of ``embed(lo, hi, order)`` for finite ``lo == hi``,
+    in closed form.
 
     For a point the first pair the ray probe tries is already exact: v on
     [1, 1] and the zero hi - lo on [0, 1] when v >= 0 (negative zero
@@ -229,8 +242,8 @@ def _embed_point(lo: float, hi: float, order: AlgebraOrder) -> AlgebraElement:
     that zero for the pair (0.0, -0.0).
     """
     if lo >= 0.0:
-        return _element(order, (lo, hi - lo, 0.0, 0.0, 0.0, 0.0, 0.0)[:order])
-    return _element(order, (0.0, 0.0, hi - lo, -hi, 0.0, 0.0, 0.0)[:order])
+        return (lo, hi - lo, 0.0, 0.0, 0.0, 0.0, 0.0)[:order]
+    return (0.0, 0.0, hi - lo, -hi, 0.0, 0.0, 0.0)[:order]
 
 
 def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement:
@@ -246,51 +259,76 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
     hi = float(hi)
     _check_finite(lo, hi)
     if lo == hi:
-        return _embed_point(lo, hi, order)
-    if lo > hi:
-        return -_embed_proper(-lo, -hi, order)
-    return _embed_proper(lo, hi, order)
+        coeffs = _embed_point(lo, hi, order)
+    elif lo > hi:
+        coeffs = _NEG[order](_embed_proper(-lo, -hi, order))
+    else:
+        coeffs = _embed_proper(lo, hi, order)
+    return _element(order, coeffs)
+
+
+def _real(v: float, order: AlgebraOrder) -> tuple[float, ...]:
+    """The coefficients of the point interval [v, v] of a real operand,
+    which must be finite."""
+    v = float(v)
+    _check_finite(v, v)
+    return _embed_point(v, v, order)
 
 
 def _point(v: float, order: AlgebraOrder, mode: ArithmeticMode) -> IntervalNumber:
     """The point interval [v, v] for a scalar operand or ``interval(c)``."""
-    _check_finite(v, v)
-    return IntervalNumber(mode, _embed_point(v, v, order))
+    return _number(mode, order, _real(v, order))
 
 
 # ---------------------------------------------------------------------------
 # Interval numbers
 # ---------------------------------------------------------------------------
 
-class _Collapsed:
-    """``IntervalNumber.raw``: the element's collapse, computed on the first
-    read and stored as an instance attribute, which shadows this non-data
-    descriptor on every later read."""
-
-    def __get__(self, x, owner=None):
-        if x is None:
-            return self
-        raw = collapse(x.element)
-        object.__setattr__(x, "raw", raw)
-        return raw
-
-
 class IntervalNumber(_Record):
-    """An algebra element tagged with an arithmetic mode.
+    """An interval as a coefficient vector of one algebra, tagged with an
+    arithmetic mode.
+
+    One flat object: the slots ``mode``, ``order`` (an AlgebraOrder) and
+    ``coeffs`` (a tuple of floats) hold the value, and a fourth slot caches
+    ``raw``, the endpoint pair, from its first read on.  The operators run
+    the order's coefficient kernels on ``coeffs`` directly; ``element`` is
+    an AlgebraElement view built on each read.  ``IntervalNumber(mode,
+    element)`` is the public constructor.
 
     Values are immutable; equality and ordering act on the canonical endpoint
     pair (two distinct elements can denote the same interval), while
     :meth:`same_element` compares the underlying coefficient vectors.
     """
 
+    __slots__ = ("mode", "order", "coeffs", "_raw")
     mode: ArithmeticMode
-    element: AlgebraElement
+    order: AlgebraOrder
+    coeffs: tuple[float, ...]
+
+    def __init__(self, mode: ArithmeticMode, element: AlgebraElement) -> None:
+        _set_mode(self, mode)
+        _set_order(self, element.order)
+        _set_coeffs(self, element.coeffs)
+        _set_raw(self, None)
+
+    def __reduce__(self):
+        # Pickle's default restores slots by assignment, which this class
+        # refuses, so copies are rebuilt through the public constructor.
+        return (type(self), (self.mode, self.element))
 
     @property
-    def order(self) -> AlgebraOrder:
-        return self.element.order
+    def element(self) -> AlgebraElement:
+        return _element(self.order, self.coeffs)
 
-    raw = _Collapsed()
+    @property
+    def raw(self) -> GeneralizedInterval:
+        """The endpoint pair in its raw orientation, collapsed on the first
+        read and cached."""
+        raw = self._raw
+        if raw is None:
+            raw = collapse(self)
+            _set_raw(self, raw)
+        return raw
 
     @property
     def canonical(self) -> GeneralizedInterval:
@@ -331,7 +369,9 @@ class IntervalNumber(_Record):
 
     # -- coercion and compatibility checks ---------------------------------
 
-    def _coerce(self, other) -> AlgebraElement | None:
+    def _coerce(self, other) -> tuple[float, ...] | None:
+        """The coefficients of an operand at this number's mode and order,
+        or None when other is neither an interval number nor a real."""
         if isinstance(other, IntervalNumber):
             if other.mode is not self.mode:
                 raise ModeMismatchError(
@@ -341,26 +381,21 @@ class IntervalNumber(_Record):
                 raise OrderMismatchError(
                     f"mixed algebra orders: {int(self.order)} vs {int(other.order)}"
                 )
-            return other.element
+            return other.coeffs
         if isinstance(other, (int, float)):
-            v = float(other)
-            _check_finite(v, v)
-            return _embed_point(v, v, self.order)
+            return _real(other, self.order)
         return None
 
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> "IntervalNumber":
-        if self.mode is ArithmeticMode.TRUE:
-            return IntervalNumber(self.mode, -self.element)
-        c = self.canonical
-        return IntervalNumber(self.mode, embed(-c.hi, -c.lo, self.order))
+        return _number(self.mode, self.order, _negated(self))
 
     def __add__(self, other) -> "IntervalNumber":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return IntervalNumber(self.mode, self.element + o)
+        return _number(self.mode, self.order, _ADD[self.order](self.coeffs, o))
 
     __radd__ = __add__
 
@@ -368,23 +403,26 @@ class IntervalNumber(_Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        order = self.order
         if self.mode is ArithmeticMode.TRUE:
-            return IntervalNumber(self.mode, self.element - o)
+            return _number(self.mode, order, _SUB[order](self.coeffs, o))
         if not isinstance(other, IntervalNumber):
-            other = IntervalNumber(self.mode, o)
-        return self + (-other)
+            other = _number(self.mode, order, o)
+        return _number(self.mode, order, _ADD[order](self.coeffs, _negated(other)))
 
     def __rsub__(self, other) -> "IntervalNumber":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return IntervalNumber(self.mode, o) - self
+        if self.mode is ArithmeticMode.TRUE:
+            return _number(self.mode, self.order, _SUB[self.order](o, self.coeffs))
+        return _number(self.mode, self.order, _ADD[self.order](o, _negated(self)))
 
     def __mul__(self, other) -> "IntervalNumber":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return IntervalNumber(self.mode, alg_mul(self.element, o))
+        return _number(self.mode, self.order, _MUL[self.order](self.coeffs, o))
 
     __rmul__ = __mul__
 
@@ -392,13 +430,16 @@ class IntervalNumber(_Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return IntervalNumber(self.mode, alg_mul(self.element, _reciprocal(o, self.mode)))
+        order = self.order
+        if not isinstance(other, IntervalNumber):
+            other = _number(self.mode, order, o)
+        return _number(self.mode, order, _MUL[order](self.coeffs, _reciprocal(other)))
 
     def __rtruediv__(self, other) -> "IntervalNumber":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return IntervalNumber(self.mode, alg_mul(o, _reciprocal(self.element, self.mode)))
+        return _number(self.mode, self.order, _MUL[self.order](o, _reciprocal(self)))
 
     def __pow__(self, exponent) -> "IntervalNumber":
         return pow_int(self, exponent)
@@ -459,29 +500,56 @@ class IntervalNumber(_Record):
 
     def same_element(self, other: "IntervalNumber") -> bool:
         """Identity of the underlying coefficient vectors (not just the interval)."""
-        return (
-            self.order == other.order
-            and self.element.coeffs == other.element.coeffs
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
 
-def _reciprocal(v: AlgebraElement, mode: ArithmeticMode) -> AlgebraElement:
-    """``alg_inv`` of a divisor's element, which raises UnsupportedOrderError
-    unless v has order 4; its other failures are reported against the
-    divisor: DivisionNotAllowedError when v is not invertible, DomainError
-    when the inverse is too large for a float."""
+_new = object.__new__
+# The slots' own setters: IntervalNumber refuses assignment, and these are
+# the quickest way past that.
+_set_mode, _set_order, _set_coeffs, _set_raw = (
+    IntervalNumber.__dict__[name].__set__ for name in IntervalNumber.__slots__
+)
+
+
+def _number(
+    mode: ArithmeticMode, order: AlgebraOrder, coeffs: tuple[float, ...]
+) -> IntervalNumber:
+    """Build an interval number from a mode, an AlgebraOrder member and a
+    tuple of floats of its length: every operation's result is built here."""
+    x = _new(IntervalNumber)
+    _set_mode(x, mode)
+    _set_order(x, order)
+    _set_coeffs(x, coeffs)
+    _set_raw(x, None)
+    return x
+
+
+def _negated(x: IntervalNumber) -> tuple[float, ...]:
+    """The coefficients of -x: negated one by one in true mode, and in
+    semantic mode the embedding of the mirrored canonical pair."""
+    if x.mode is ArithmeticMode.TRUE:
+        return _NEG[x.order](x.coeffs)
+    c = x.canonical
+    return embed(-c.hi, -c.lo, x.order).coeffs
+
+
+def _reciprocal(v: IntervalNumber) -> tuple[float, ...]:
+    """The coefficients of ``alg_inv(v)`` for a divisor v, which raises
+    UnsupportedOrderError unless v has order 4; its other failures are
+    reported against the divisor: DivisionNotAllowedError when v is not
+    invertible, DomainError when the inverse is too large for a float."""
     try:
-        return alg_inv(v)
+        return alg_inv(v).coeffs
     except NotInvertibleError:
         raise DivisionNotAllowedError(
-            f"interval division not allowed: divisor {format_interval(collapse(v))} "
+            f"interval division not allowed: divisor {format_interval(v.raw)} "
             "is not invertible",
-            divisor=IntervalNumber(mode, v),
+            divisor=v,
         ) from None
     except DomainError:
         raise DomainError(
             f"interval division overflows: the inverse of divisor "
-            f"{format_interval(collapse(v))} is too large for a float"
+            f"{format_interval(v.raw)} is too large for a float"
         ) from None
 
 
@@ -506,7 +574,8 @@ def interval(
         lo, hi = float(lo) - eps, float(lo) + eps
     elif hi is None:
         return _point(float(lo), _as_order(order), mode)
-    return IntervalNumber(mode, embed(float(lo), float(hi), order))
+    e = embed(float(lo), float(hi), order)
+    return _number(mode, e.order, e.coeffs)
 
 
 def compare(x: IntervalNumber, y: IntervalNumber) -> int:
@@ -533,9 +602,10 @@ def scalar_mul(a: float, x: IntervalNumber) -> IntervalNumber:
     """Scale by a real: nonnegative factors scale coefficients directly."""
     a = float(a)
     _check_finite(a, a)
+    order = x.order
     if a >= 0.0 or x.mode is ArithmeticMode.TRUE:
-        return IntervalNumber(x.mode, x.element.scale(a))
-    return scalar_mul(-a, -x)
+        return _number(x.mode, order, _SCALE[order](x.coeffs, a))
+    return _number(x.mode, order, _SCALE[order](_negated(x), -a))
 
 
 def pow_int(x: IntervalNumber, exponent: int) -> IntervalNumber:
@@ -544,10 +614,13 @@ def pow_int(x: IntervalNumber, exponent: int) -> IntervalNumber:
         raise ValueError(f"integer exponent required, got {exponent!r}")
     if exponent < 0:
         raise ValueError("negative exponents are not supported")
-    result = IntervalNumber(x.mode, AlgebraElement.unit(x.order))
+    order = x.order
+    mul = _MUL[order]
+    coeffs = x.coeffs
+    acc = _embed_point(1.0, 1.0, order)  # the unit [1, 1]
     for _ in range(exponent):
-        result = result * x
-    return result
+        acc = mul(acc, coeffs)
+    return _number(x.mode, order, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +635,7 @@ def _lift(fn: Callable[[float], float], x: IntervalNumber) -> IntervalNumber:
         raise DomainError(
             f"{fn.__name__} overflows on the endpoints ({r.lo!r}, {r.hi!r})"
         ) from None
-    return IntervalNumber(x.mode, embed(lo, hi, x.order))
+    return _number(x.mode, x.order, embed(lo, hi, x.order).coeffs)
 
 
 def exp(x: IntervalNumber) -> IntervalNumber:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .algebra import _ADD, AlgebraElement, AlgebraOrder, _element, _Record, alg_mul
+from .algebra import _ADD, AlgebraOrder, _check_count, _Record, alg_mul
 from .errors import (
     ConvergenceError,
     ModeMismatchError,
@@ -20,6 +20,7 @@ from .interval import (
     ArithmeticMode,
     IntervalNumber,
     IterationRecord,
+    _number,
     _reciprocal,
     format_interval,
     interval,
@@ -161,13 +162,16 @@ def identity_matrix(
     )
 
 
-def _dot(us: Sequence[AlgebraElement], vs: Sequence[AlgebraElement]) -> AlgebraElement:
-    """Left-to-right sum of ``alg_mul(us[k], vs[k])`` over k, one product per
-    term, accumulated as raw coefficients and wrapped as an element once.
+def _dot(
+    us: Sequence[IntervalNumber], vs: Sequence[IntervalNumber]
+) -> tuple[float, ...]:
+    """Coefficients of the left-to-right sum of ``alg_mul(us[k], vs[k])``
+    over k, one product per term, accumulated as raw coefficients.
 
-    The additions are those of folding the products with
-    ``AlgebraElement.__add__``.  Callers have checked that all elements share
-    one order.
+    ``alg_mul`` reads only the numbers' orders and coefficients, so the
+    entries go to it as they are.  The additions are those of folding the
+    products with ``+``.  Callers have checked that all entries share one
+    mode and one order.
     """
     products = map(alg_mul, us, vs)
     first = next(products)
@@ -175,22 +179,19 @@ def _dot(us: Sequence[AlgebraElement], vs: Sequence[AlgebraElement]) -> AlgebraE
     acc = first.coeffs
     for p in products:
         acc = add(acc, p.coeffs)
-    return _element(first.order, acc)
+    return acc
 
 
 def dot(u: IntervalVector, v: IntervalVector) -> IntervalNumber:
-    """Left-to-right sum of the entrywise products, accumulated as algebra
-    elements and wrapped as an interval number once."""
+    """Left-to-right sum of the entrywise products, accumulated as
+    coefficients and wrapped as an interval number once."""
     if len(u) != len(v):
         raise ShapeMismatchError("vector lengths differ")
     head = u[0]
     # Raises on mixed modes or orders as head * v[0] would; each vector is
     # uniform, so the first pair speaks for all of them.
     head._coerce(v[0])
-    return IntervalNumber(
-        head.mode,
-        _dot([a.element for a in u.entries], [b.element for b in v.entries]),
-    )
+    return _number(head.mode, head.order, _dot(u.entries, v.entries))
 
 
 def matvec(m: IntervalMatrix, u: IntervalVector) -> IntervalVector:
@@ -215,20 +216,20 @@ def matmul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
     head = a.rows[0][0]
     # Each matrix is uniform, so the first pair speaks for all of them.
     head._coerce(b.rows[0][0])
-    mode = head.mode
-    cols = [[e.element for e in col] for col in zip(*(r.entries for r in b.rows))]
+    mode, order = head.mode, head.order
+    cols = list(zip(*(r.entries for r in b.rows)))
     return IntervalMatrix(
         tuple(
-            tuple(IntervalNumber(mode, _dot(row, col)) for col in cols)
-            for row in ([e.element for e in r.entries] for r in a.rows)
+            tuple(_number(mode, order, _dot(row.entries, col)) for col in cols)
+            for row in a.rows
         )
     )
 
 
 def frob_sq(m: IntervalMatrix) -> IntervalNumber:
     """Sum of squared entries (row-major, left to right)."""
-    flat = [e.element for r in m.rows for e in r.entries]
-    return IntervalNumber(m.mode, _dot(flat, flat))
+    flat = [e for r in m.rows for e in r.entries]
+    return _number(m.mode, m.order, _dot(flat, flat))
 
 
 def two_norm(u: IntervalVector) -> IntervalNumber:
@@ -258,15 +259,14 @@ def power_iterate(
         raise ShapeMismatchError("start vector length does not match the matrix")
     if m.order != AlgebraOrder.ORDER_4:
         raise UnsupportedOrderError("power iteration divides, which needs order 4")
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
+    _check_count("iters", iters)
     u = u0
     w = matvec(m, u)
     trace: list[IterationRecord] = []
     lam = None
     for k in range(1, iters + 1):
         norm = two_norm(w)
-        scale = IntervalNumber(norm.mode, _reciprocal(norm.element, norm.mode))
+        scale = _number(norm.mode, norm.order, _reciprocal(norm))
         u = IntervalVector(tuple(wi * scale for wi in w))
         w = matvec(m, u)  # the Rayleigh quotient's M u is the next step's
         lam = dot(u, w) / dot(u, u)
@@ -293,8 +293,7 @@ def schulz_invert(
         raise UnsupportedOrderError("matrix inversion divides, which needs order 4")
     if m.mode is not ArithmeticMode.TRUE:
         raise ModeMismatchError("schulz_invert requires true arithmetic")
-    if not max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_count("max_iter", max_iter)
     if not tol > 0:  # NaN fails this too
         raise ValueError("tol must be positive")
     n = nrows

@@ -6,7 +6,7 @@ import math
 from enum import Enum
 from typing import Callable
 
-from .algebra import _Record
+from .algebra import _check_count, _Record
 from .errors import ConvergenceError
 from .interval import ArithmeticMode, IntervalNumber, IterationRecord, _point
 
@@ -44,6 +44,10 @@ class OptimizerConfig(_Record):
     style: FdStyle = FdStyle.MIDPOINT
 
     def __post_init__(self) -> None:
+        for name in ("h", "rho", "eps"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         # each check is written so that NaN fails it
         if not 0 < self.h < math.inf:
             raise ValueError("h must be positive and finite")
@@ -51,10 +55,7 @@ class OptimizerConfig(_Record):
             raise ValueError("rho must be positive and finite")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_count("max_iter", self.max_iter)
 
 
 def _check_style(x: IntervalNumber, style: FdStyle) -> None:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from itertools import chain
 
 import pytest
 from helpers import (
@@ -10,9 +11,17 @@ from helpers import (
     draw_float,
     inf_norm,
     leq_ulps,
+    reference_add,
+    reference_alg_inv,
+    reference_alg_mul,
     reference_collapse,
     reference_embed,
+    reference_is_invertible,
+    reference_neg,
     reference_scalar,
+    reference_scale,
+    reference_sub,
+    split_squares_in_range,
     vectors_close_ulps,
 )
 
@@ -148,6 +157,76 @@ def test_scalar_operands_match_point_intervals_bit_for_bit(op, order):
                 assert got == want, (x, s)
                 got, want = _outcome(lambda: fn(s, x)), _outcome(lambda: fn(point, x))
                 assert got == want, (s, x)
+
+
+def _draw_number(rng, order, mode):
+    """An embedded interval or, one time in three, a raw element whose
+    coefficients may be negative, zeros of either sign, subnormal or near
+    1e300."""
+    if rng.random() < 1 / 3:
+        coeffs = [draw_float(rng) for _ in range(order)]
+        return ia.IntervalNumber(mode, ia.AlgebraElement(order, coeffs))
+    return interval(draw_float(rng), draw_float(rng), order=order, mode=mode)
+
+
+def _mirror(x):
+    """The element of semantic -x: the embedded mirror of x's canonical pair."""
+    lo, hi = sorted(reference_collapse(x))
+    return embed(-hi, -lo, x.order)
+
+
+def _reference_sub(a, b):
+    if a.mode is TRUE:
+        return reference_sub(a, b)
+    return reference_add(a, _mirror(b))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_operators_match_element_forms_bit_for_bit(order):
+    # The operators run the kernels on coefficient tuples and take a real
+    # operand straight to its point's coefficients; on either side they must
+    # build what the element forms build from the operand's point interval
+    # reference_scalar(s, x): sums, differences, negation and scaling
+    # coefficientwise, products by the table walk, semantic subtraction as
+    # the sum with the embedded mirror, powers as repeated products.
+    rng = random.Random(order + 60)
+    for mode in (TRUE, SEM):
+        for _ in range(10_000):
+            x, y = _draw_number(rng, order, mode), _draw_number(rng, order, mode)
+            s = rng.choice((draw_float(rng), rng.randint(-3, 3), True))
+            p = reference_scalar(s, x)
+            cases = []  # (what, result, its element form)
+            for (a, b), (ga, gb) in (((x, y), (x, y)), ((x, p), (x, s)), ((p, x), (s, x))):
+                cases += [
+                    (("+", ga, gb), ga + gb, reference_add(a, b)),
+                    (("-", ga, gb), ga - gb, _reference_sub(a, b)),
+                    (("*", ga, gb), ga * gb, reference_alg_mul(a, b)),
+                ]
+                if order == 4 and split_squares_in_range(b) and reference_is_invertible(b):
+                    inv = reference_alg_inv(b)
+                    if all(map(math.isfinite, inv)):
+                        want = reference_alg_mul(a, ia.AlgebraElement(4, inv))
+                        cases.append((("/", ga, gb), ga / gb, want))
+            want = reference_neg(x) if mode is TRUE else _mirror(x).coeffs
+            cases.append((("neg", x), -x, want))
+            if mode is TRUE or s >= 0:
+                want = reference_scale(x, float(s))
+            else:
+                want = reference_scale(_mirror(x), -float(s))
+            cases.append((("scalar_mul", s, x), scalar_mul(s, x), want))
+            k = rng.randint(0, 4)
+            acc = ia.AlgebraElement(order, (1.0,) + (0.0,) * (order - 1))
+            for _ in range(k):
+                acc = ia.AlgebraElement(order, reference_alg_mul(acc, x))
+            cases.append((("**", x, k), x**k, acc.coeffs))
+            got = [r.element.coeffs for _, r, _ in cases]
+            want = [w for _, _, w in cases]
+            # one comparison a draw; on a mismatch, name the first case
+            if bits(chain.from_iterable(got)) != bits(chain.from_iterable(want)):
+                for (what, _, _), g, w in zip(cases, got, want):
+                    assert bits(g) == bits(w), what
+            for _, r, _ in cases:
+                assert r.mode is mode and r.order is x.order
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -208,6 +208,24 @@ def _count_products(monkeypatch):
     return calls
 
 
+def _count_kernel_products(monkeypatch):
+    # Wrap the product kernels themselves, which every product runs: through
+    # alg_mul or straight from an IntervalNumber operator.
+    algebra = sys.modules["intalg.algebra"]
+    calls = []
+    for order in ia.AlgebraOrder:
+        zero = (0.0,) * int(order)
+        algebra._MUL[order](zero, zero)  # compile the order's kernels first
+        kernel = algebra._MUL[order]
+
+        def counted(a, b, _kernel=kernel):
+            calls.append(1)
+            return _kernel(a, b)
+
+        monkeypatch.setitem(algebra._MUL, order, counted)
+    return calls
+
+
 def test_products_per_matmul_and_dot(monkeypatch):
     # One alg_mul per term: 27 for a 3x3 product, n for a length-n dot.
     m = IntervalMatrix(
@@ -416,7 +434,8 @@ def test_power_iteration_makes_one_matvec_per_step(monkeypatch):
     # The Rayleigh quotient's M u is the next step's M u: k steps make k + 1
     # matvecs, not 2k, with the bits of the two-matvec reference.  Each step
     # adds n products each for the norm, the scaling and two dots, plus the
-    # quotient's one.
+    # quotient's one; the scaling and the quotient are operators, which run
+    # the kernel without alg_mul, so the products are counted at the kernel.
     module = sys.modules["intalg.linalg"]
     original = module.matvec
     matvecs = []
@@ -426,7 +445,7 @@ def test_power_iteration_makes_one_matvec_per_step(monkeypatch):
         return original(m, u)
 
     monkeypatch.setattr(module, "matvec", counted)
-    products = _count_products(monkeypatch)
+    products = _count_kernel_products(monkeypatch)
     rng = random.Random(8)
     for n, iters in ((1, 1), (3, 4), (6, 10)):
         rows = [[rng.uniform(0.5, 3.0) for _ in range(n)] for _ in range(n)]
@@ -454,6 +473,12 @@ def test_power_iteration_validation():
         power_iterate(deg_matrix(M2), deg_vector((1.0, 1.0, 1.0)), 3)
     with pytest.raises(UnsupportedOrderError):
         power_iterate(deg_matrix(M2, order=5), deg_vector((1.0, 1.0), order=5), 3)
+
+
+@pytest.mark.parametrize("iters", (0, 2.5, True, False, "3", None))
+def test_power_iteration_rejects_iters_that_are_not_positive_integers(iters):
+    with pytest.raises(ValueError, match="iters"):
+        power_iterate(deg_matrix(M2), deg_vector((1.0, 1.0)), iters)
 
 
 # -- Schulz-Hotelling inversion -------------------------------------------------
@@ -526,7 +551,17 @@ def test_schulz_nonconvergence_carries_residual():
     assert exc.value.residual is not None and exc.value.residual > 1e-12
 
 
-@pytest.mark.parametrize("kwargs", (dict(tol=math.nan), dict(tol=0.0), dict(max_iter=0)))
+@pytest.mark.parametrize(
+    "kwargs",
+    (
+        dict(tol=math.nan),
+        dict(tol=0.0),
+        dict(max_iter=0),
+        dict(max_iter=2.5),
+        dict(max_iter=True),
+        dict(max_iter="3"),
+    ),
+)
 def test_schulz_rejects_bad_tol_and_max_iter(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         schulz_invert(deg_matrix(M3), **kwargs)

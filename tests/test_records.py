@@ -133,19 +133,63 @@ def test_optimizer_config_defaults_and_checks():
         ((), {"rho": 0}, "rho"),
         ((1e-6, 1e-2, -1e-6), {}, "eps"),
         ((), {"max_iter": 0}, "max_iter"),
+        ((True,), {}, "h"),
+        ((), {"rho": True}, "rho"),
+        ((), {"eps": True}, "eps"),
+        (("1e-6",), {}, "h"),
     ):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(*args, **kwargs)
 
 
+def _numbers():
+    # negative coefficients, and a semantic order-7 number with signed zeros
+    return (
+        interval(1, 2) - interval(3, 5),
+        ia.IntervalNumber(
+            ia.ArithmeticMode.SEMANTIC,
+            AlgebraElement(7, (-0.0, 0.0, 5e-324, -1e300, 2.5, 0.0, -3.0)),
+        ),
+    )
+
+
+_ROUND_TRIPS = [
+    *(
+        (lambda x, p=protocol: pickle.loads(pickle.dumps(x, protocol=p)))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ),
+    copy.deepcopy,
+    copy.copy,
+]
+
+
 @pytest.mark.parametrize("read_raw", (False, True))
 def test_interval_number_round_trips_keep_the_element(read_raw):
-    x = interval(1, 2) - interval(3, 5)
-    if read_raw:
-        x.raw
-    for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
-        assert type(twin) is ia.IntervalNumber and twin.same_element(x)
-        assert twin.mode is x.mode and twin.order is x.order
-        assert bits((twin.raw.lo, twin.raw.hi)) == bits((x.raw.lo, x.raw.hi))
-        with pytest.raises(AttributeError):
-            twin.mode = ia.ArithmeticMode.SEMANTIC
+    # Pickle at every protocol, deepcopy and copy, with the collapse cached
+    # or not: slots are restored differently across Python versions.
+    for round_trip in _ROUND_TRIPS:
+        for x in _numbers():
+            if read_raw:
+                x.raw
+            twin = round_trip(x)
+            assert type(twin) is ia.IntervalNumber and twin.same_element(x)
+            assert bits(twin.coeffs) == bits(x.coeffs)
+            assert twin.mode is x.mode and twin.order is x.order
+            assert bits((twin.raw.lo, twin.raw.hi)) == bits((x.raw.lo, x.raw.hi))
+            with pytest.raises(AttributeError):
+                twin.mode = ia.ArithmeticMode.SEMANTIC
+
+
+@pytest.mark.parametrize("read_raw", (False, True))
+def test_interval_number_is_one_slotted_object(read_raw):
+    for x in _numbers():
+        if read_raw:
+            x.raw
+        assert not hasattr(x, "__dict__")
+        for name in (*ia.IntervalNumber.__slots__, "raw", "element", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert x.raw is x.raw
+        assert x.element == AlgebraElement(x.order, x.coeffs)
