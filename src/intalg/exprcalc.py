@@ -25,6 +25,7 @@ from .interval import (
     ArithmeticMode,
     IntervalNumber,
     _UNSIGNED_NUM,
+    _as_mode,
     exp,
     interval,
     log,
@@ -296,11 +297,16 @@ def unparse(node: ExprNode) -> str:
 def evaluate(
     node: ExprNode,
     bindings: Mapping[str, IntervalNumber] | None = None,
-    mode: ArithmeticMode = ArithmeticMode.TRUE,
+    mode: ArithmeticMode | str = ArithmeticMode.TRUE,
     order: int | AlgebraOrder = 4,
 ) -> IntervalNumber:
-    """Evaluate an AST through interval arithmetic, never collapsing midway."""
+    """Evaluate an AST through interval arithmetic, never collapsing midway.
+
+    ``mode`` is an ArithmeticMode member or its value; anything else raises
+    ValueError.
+    """
     bindings = bindings or {}
+    mode = _as_mode(mode)
     order = _as_order(order)
     for name, value in bindings.items():
         if value.mode is not mode:

@@ -9,7 +9,11 @@ An ``IntervalNumber`` is one flat object: mode, order, coefficient tuple and
 a cached endpoint pair.  Its operators run the order's generated kernels
 (``algebra._MUL``, ``_ADD``, ...) on coefficient tuples, a real operand goes
 straight to the coefficients of its point interval, and the
-``AlgebraElement`` view is built only when asked for.
+``AlgebraElement`` view is built only when asked for.  One dispatch,
+``_embed_coeffs``, turns endpoint pairs into coefficient tuples for ``embed``,
+the lifted functions and semantic negation alike, and ``collapse`` fills the
+slots of its ``GeneralizedInterval`` directly, so the hot paths build no
+element and convert no float twice.
 
 Two subtraction semantics coexist:
 
@@ -85,15 +89,35 @@ class ArithmeticMode(Enum):
     TRUE = "true"
 
 
-class GeneralizedInterval(_Record):
-    """An endpoint pair; improper (lo > hi) pairs are allowed."""
+def _as_mode(mode) -> ArithmeticMode:
+    """``ArithmeticMode(mode)``: a member, or the member whose value mode is;
+    anything else raises ValueError.  A member is returned without the
+    enum's lookup, since the evaluator builds every literal through
+    ``interval()``."""
+    return mode if mode.__class__ is ArithmeticMode else ArithmeticMode(mode)
 
+
+class GeneralizedInterval(_Record):
+    """An endpoint pair; improper (lo > hi) pairs are allowed.
+
+    The endpoints live in the slots ``lo`` and ``hi``, with no instance
+    ``__dict__``.  The public constructor converts both to float;
+    ``collapse``, whose kernel already returns floats, fills the slots
+    through their setters instead.
+    """
+
+    __slots__ = ("lo", "hi")
     lo: float
     hi: float
 
     def __init__(self, lo: float, hi: float) -> None:
-        object.__setattr__(self, "lo", float(lo))
-        object.__setattr__(self, "hi", float(hi))
+        _set_lo(self, float(lo))
+        _set_hi(self, float(hi))
+
+    def __reduce__(self):
+        # Pickle's default restores slots by assignment, which this class
+        # refuses, so copies are rebuilt through the public constructor.
+        return (type(self), (self.lo, self.hi))
 
     @property
     def is_proper(self) -> bool:
@@ -121,6 +145,14 @@ class GeneralizedInterval(_Record):
         return format_interval(self)
 
 
+_new = object.__new__
+# The slots' own setters: the value classes here refuse assignment, and these
+# are the quickest way past that.
+_set_lo, _set_hi = (
+    GeneralizedInterval.__dict__[name].__set__ for name in GeneralizedInterval.__slots__
+)
+
+
 # ---------------------------------------------------------------------------
 # Embedding and collapse
 # ---------------------------------------------------------------------------
@@ -137,7 +169,10 @@ def collapse(element: AlgebraElement) -> GeneralizedInterval:
             f"element {element.coeffs!r} of order {int(element.order)} has no "
             f"endpoints: its collapse ({lo!r}, {hi!r}) is NaN"
         )
-    return GeneralizedInterval(lo, hi)
+    pair = _new(GeneralizedInterval)  # the kernel's endpoints are floats already
+    _set_lo(pair, lo)
+    _set_hi(pair, hi)
+    return pair
 
 
 def _neighbors(value: float) -> tuple[float, ...]:
@@ -255,23 +290,27 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
     up to a few percent of pairs miss by that ulp.  Endpoints must be finite.
     """
     order = _as_order(order)
-    lo = float(lo)
-    hi = float(hi)
+    return _element(order, _embed_coeffs(float(lo), float(hi), order))
+
+
+def _embed_coeffs(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...]:
+    """The coefficients of ``embed(lo, hi, order)`` for float endpoints and
+    an AlgebraOrder member, which is all the lifted functions and semantic
+    negation need: they have floats in hand and want no element."""
     _check_finite(lo, hi)
     if lo == hi:
-        coeffs = _embed_point(lo, hi, order)
-    elif lo > hi:
-        coeffs = _NEG[order](_embed_proper(-lo, -hi, order))
-    else:
-        coeffs = _embed_proper(lo, hi, order)
-    return _element(order, coeffs)
+        return _embed_point(lo, hi, order)
+    if lo > hi:
+        return _NEG[order](_embed_proper(-lo, -hi, order))
+    return _embed_proper(lo, hi, order)
 
 
 def _real(v: float, order: AlgebraOrder) -> tuple[float, ...]:
     """The coefficients of the point interval [v, v] of a real operand,
     which must be finite."""
     v = float(v)
-    _check_finite(v, v)
+    if not math.isfinite(v):
+        _check_finite(v, v)
     return _embed_point(v, v, order)
 
 
@@ -305,8 +344,8 @@ class IntervalNumber(_Record):
     order: AlgebraOrder
     coeffs: tuple[float, ...]
 
-    def __init__(self, mode: ArithmeticMode, element: AlgebraElement) -> None:
-        _set_mode(self, mode)
+    def __init__(self, mode: ArithmeticMode | str, element: AlgebraElement) -> None:
+        _set_mode(self, _as_mode(mode))
         _set_order(self, element.order)
         _set_coeffs(self, element.coeffs)
         _set_raw(self, None)
@@ -503,9 +542,6 @@ class IntervalNumber(_Record):
         return self.order == other.order and self.coeffs == other.coeffs
 
 
-_new = object.__new__
-# The slots' own setters: IntervalNumber refuses assignment, and these are
-# the quickest way past that.
 _set_mode, _set_order, _set_coeffs, _set_raw = (
     IntervalNumber.__dict__[name].__set__ for name in IntervalNumber.__slots__
 )
@@ -530,7 +566,7 @@ def _negated(x: IntervalNumber) -> tuple[float, ...]:
     if x.mode is ArithmeticMode.TRUE:
         return _NEG[x.order](x.coeffs)
     c = x.canonical
-    return embed(-c.hi, -c.lo, x.order).coeffs
+    return _embed_coeffs(-c.hi, -c.lo, x.order)
 
 
 def _reciprocal(v: IntervalNumber) -> tuple[float, ...]:
@@ -559,13 +595,15 @@ def interval(
     *,
     eps: float | None = None,
     order: int | AlgebraOrder = 4,
-    mode: ArithmeticMode = ArithmeticMode.TRUE,
+    mode: ArithmeticMode | str = ArithmeticMode.TRUE,
 ) -> IntervalNumber:
     """Build an interval number.
 
     ``interval(a, b)`` is [a, b]; ``interval(c)`` the point interval [c, c];
-    ``interval(c, eps=e)`` the ball [c - e, c + e].
+    ``interval(c, eps=e)`` the ball [c - e, c + e].  ``mode`` is an
+    ArithmeticMode member or its value; anything else raises ValueError.
     """
+    mode = _as_mode(mode)
     if eps is not None:
         if hi is not None:
             raise ValueError("give either hi or eps, not both")
@@ -635,7 +673,7 @@ def _lift(fn: Callable[[float], float], x: IntervalNumber) -> IntervalNumber:
         raise DomainError(
             f"{fn.__name__} overflows on the endpoints ({r.lo!r}, {r.hi!r})"
         ) from None
-    return _number(x.mode, x.order, embed(lo, hi, x.order).coeffs)
+    return _number(x.mode, x.order, _embed_coeffs(lo, hi, x.order))
 
 
 def exp(x: IntervalNumber) -> IntervalNumber:

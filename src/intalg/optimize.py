@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
-from .algebra import _check_count, _Record
+from .algebra import AlgebraOrder, _check_count, _Record
 from .errors import ConvergenceError
-from .interval import ArithmeticMode, IntervalNumber, IterationRecord, _point
+from .interval import (
+    ArithmeticMode,
+    IntervalNumber,
+    IterationRecord,
+    _number,
+    _point,
+    _reciprocal,
+)
 
 __all__ = [
     "FdStyle",
@@ -44,23 +52,36 @@ class OptimizerConfig(_Record):
     style: FdStyle = FdStyle.MIDPOINT
 
     def __post_init__(self) -> None:
-        for name in ("h", "rho", "eps"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        # each check is written so that NaN fails it
-        if not 0 < self.h < math.inf:
-            raise ValueError("h must be positive and finite")
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        _check_positive("h", self.h)
+        _check_positive("rho", self.rho)
+        _check_positive("eps", self.eps, finite=False)
         _check_count("max_iter", self.max_iter)
+        object.__setattr__(self, "style", FdStyle(self.style))
 
 
-def _check_style(x: IntervalNumber, style: FdStyle) -> None:
+def _check_positive(name: str, value, finite: bool = True) -> None:
+    """Raise ValueError, naming the argument, unless value is a real number
+    (a bool is not one here) above 0, and finite unless told otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    # each test is written so that NaN fails it
+    if finite:
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    elif not value > 0:
+        raise ValueError(f"{name} must be positive")
+
+
+def _fd_style(x: IntervalNumber, h: float, style: FdStyle | str) -> FdStyle:
+    """Check a finite difference's arguments and return ``FdStyle(style)``:
+    h as OptimizerConfig checks it, and full style only for x in true
+    arithmetic.  A member passes without the enum lookup."""
+    _check_positive("h", h)
+    if style.__class__ is not FdStyle:
+        style = FdStyle(style)
     if style is FdStyle.FULL and x.mode is not ArithmeticMode.TRUE:
         raise ValueError("full-style finite differences require true arithmetic")
+    return style
 
 
 def _center(x: IntervalNumber, style: FdStyle) -> IntervalNumber:
@@ -71,7 +92,20 @@ def _quotient(d: IntervalNumber, q: float, x: IntervalNumber, style: FdStyle):
     """d / q at x's order and mode; in midpoint style, the point d.midpoint / q."""
     if style is FdStyle.MIDPOINT:
         return _point(d.midpoint / q, x.order, x.mode)
-    return d / _point(q, x.order, x.mode)
+    return d * _inverse_point(q, x.order)
+
+
+@lru_cache(maxsize=16)
+def _inverse_point(q: float, order: AlgebraOrder) -> IntervalNumber:
+    """1 / [q, q] in true arithmetic, the only mode full style runs in.
+
+    A full-style run divides by the same [2h, 2h] and [h*h, h*h] on every
+    iteration; ``/`` multiplies by this same reciprocal, so the product with
+    the stored one has the same bits.  A failed inverse is not stored: each
+    call raises it again, against the divisor [q, q], as ``/`` would.
+    """
+    p = _point(q, order, ArithmeticMode.TRUE)
+    return _number(ArithmeticMode.TRUE, order, _reciprocal(p))
 
 
 def _h_squared(h: float) -> float:
@@ -85,10 +119,14 @@ def fd_first(
     f: IntervalFunction,
     x: IntervalNumber,
     h: float = 1e-6,
-    style: FdStyle = FdStyle.MIDPOINT,
+    style: FdStyle | str = FdStyle.MIDPOINT,
 ) -> IntervalNumber:
-    """Central first difference (f(x+h) - f(x-h)) / 2h."""
-    _check_style(x, style)
+    """Central first difference (f(x+h) - f(x-h)) / 2h.
+
+    h must be a positive, finite real and style an FdStyle member or its
+    value; anything else raises ValueError.
+    """
+    style = _fd_style(x, h, style)
     c = _center(x, style)
     return _quotient(f(c + h) - f(c - h), 2.0 * h, x, style)
 
@@ -97,11 +135,12 @@ def fd_second(
     f: IntervalFunction,
     x: IntervalNumber,
     h: float = 1e-6,
-    style: FdStyle = FdStyle.MIDPOINT,
+    style: FdStyle | str = FdStyle.MIDPOINT,
 ) -> IntervalNumber:
     """Central second difference (f(x+h) + f(x-h) - 2 f(x)) / h^2; a Newton
-    step shares f(x+h) and f(x-h) with its first difference."""
-    _check_style(x, style)
+    step shares f(x+h) and f(x-h) with its first difference.  Its arguments
+    are checked as ``fd_first``'s, and h*h must not underflow to 0."""
+    style = _fd_style(x, h, style)
     h2 = _h_squared(h)
     c = _center(x, style)
     return _quotient(f(c + h) + f(c - h) - 2.0 * f(c), h2, x, style)

@@ -310,6 +310,26 @@ def reference_fd_second(f, x: IntervalNumber, h: float, style: FdStyle):
     return s / reference_scalar(h2, x)
 
 
+def reference_gradient_descent(f, x0: IntervalNumber, cfg) -> tuple:
+    """Gradient descent with every difference taken by ``reference_fd_first``,
+    which divides by the point [2h, 2h] afresh on each call.
+
+    Kept as the oracle for ``gradient_descent``, which multiplies by a
+    stored inverse of that point in full style: ``/`` is that product, so
+    the two traces agree bit for bit.  Returns the trace up to convergence
+    or ``max_iter`` updates.
+    """
+    x = x0
+    trace = [IterationRecord(0, x.raw, f(x).raw)]
+    for k in range(1, cfg.max_iter + 1):
+        fp = reference_fd_first(f, x, cfg.h, cfg.style)
+        if fp.norm <= cfg.eps:
+            break
+        x = x - fp * reference_scalar(cfg.rho, fp)
+        trace.append(IterationRecord(k, x.raw, f(x).raw))
+    return tuple(trace)
+
+
 def reference_newton_raphson(f, x0: IntervalNumber, cfg) -> tuple:
     """Newton-Raphson as it took each step from separate ``fd_first`` and
     ``fd_second`` calls, 8 evaluations of f an iteration.

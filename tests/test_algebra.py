@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from helpers import (
@@ -308,6 +309,55 @@ def test_split_product_isomorphism():
         via_split = (*pair_mul(su.i1, sv.i1), *pair_mul(su.i2, sv.i2))
         scale = inf_norm(u.coeffs) * inf_norm(v.coeffs) * 16
         assert vectors_close_ulps((*via_table.i1, *via_table.i2), via_split, 4, scale=scale)
+
+
+# Each algebra is R^n with a componentwise product: it has n characters, the
+# linear maps chi with chi(e0) = 1 and chi(u v) = chi(u) chi(v), given here
+# by their values on the generators.  Order 5 adds the sum of all
+# coefficients to the four of order 4; order 7 adds three others.
+_ORDER_4_CHARACTERS = ((1, 0, 0, -1), (1, 0, 0, 1), (1, 1, -1, -1), (1, 1, 1, 1))
+CHARACTERS = {
+    4: _ORDER_4_CHARACTERS,
+    5: tuple(c + (0,) for c in _ORDER_4_CHARACTERS) + ((1, 1, 1, 1, 1),),
+    7: tuple(c + (0, 0, 0) for c in _ORDER_4_CHARACTERS)
+    + ((1, 1, -1, -1, 0, -1, 1), (1, 1, 1, 1, 0, 1, 1), (1,) * 7),
+}
+
+
+def _rank(rows) -> int:
+    """Rank over the rationals, by Gaussian elimination in Fractions."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_characters_turn_the_product_componentwise(order):
+    # Small integer coefficients keep every float product and sum of the
+    # kernel exact, so chi(u v) == chi(u) chi(v) must hold exactly.
+    chars = CHARACTERS[order]
+    assert len(set(chars)) == order and _rank(chars) == order
+
+    def chi(c, u):
+        return sum(Fraction(k) * Fraction(a) for k, a in zip(c, u.coeffs))
+
+    rng = random.Random(order + 53)
+    for _ in range(2000):
+        u, v = (AlgebraElement(order, [rng.randint(-99, 99) for _ in range(order)]) for _ in "uv")
+        w = alg_mul(u, v)
+        assert all(a == int(a) for a in w.coeffs)
+        for c in chars:
+            assert chi(c, w) == chi(c, u) * chi(c, v)
 
 
 # -- inverse ------------------------------------------------------------------

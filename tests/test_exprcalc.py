@@ -116,6 +116,16 @@ def test_eval_checks_binding_consistency():
         evaluate(parse("x"), {"x": interval(1, order=5)}, order=4)
 
 
+def test_eval_mode_is_an_arithmetic_mode_member_or_its_value():
+    x = {"x": interval(1, 2, mode=SEM)}
+    got = evaluate(parse("x - x"), x, mode="semantic")
+    assert got.mode is SEM and got.canonical == ia.GeneralizedInterval(-1, 1)
+    assert evaluate(parse("1 - 1"), mode="true").mode is TRUE
+    for bad in ("SEMANTIC", None, 1):
+        with pytest.raises(ValueError):
+            evaluate(parse("1"), mode=bad)
+
+
 def test_eval_unsupported_order():
     with pytest.raises(ia.UnsupportedOrderError):
         evaluate(parse("1"), order=6)

@@ -305,6 +305,33 @@ def test_improper_pair_is_embedded_once(monkeypatch):
         assert bits(x.element.coeffs) == bits(reference_embed(3.0, 1.0, order))
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_lifts_and_semantic_negation_skip_the_public_embed(monkeypatch, order):
+    # They have float endpoints in hand and go straight to coefficients;
+    # the results are still the embeddings of their endpoint pairs.
+    module = sys.modules["intalg.interval"]
+    lifts = ((ia.exp, math.exp), (ia.log, math.log), (ia.sqrt, math.sqrt))
+    xs = [
+        interval(lo, hi, order=order, mode=mode)
+        for mode in (TRUE, SEM)
+        for lo, hi in ((4.0, 9.0), (9.0, 4.0), (2.5, 2.5))
+    ]
+
+    def no_embed(*args):
+        raise AssertionError(f"embed{args} called")
+
+    monkeypatch.setattr(module, "embed", no_embed)
+    for x in xs:
+        r = x.raw
+        for lift, fn in lifts:
+            got = lift(x)
+            assert got.mode is x.mode
+            assert bits(got.coeffs) == bits(reference_embed(fn(r.lo), fn(r.hi), order))
+        if x.mode is SEM:
+            c = x.canonical
+            assert bits((-x).coeffs) == bits(reference_embed(-c.hi, -c.lo, order))
+
+
 def test_raw_is_collapsed_once(monkeypatch):
     module = sys.modules["intalg.interval"]
     calls = []
@@ -916,6 +943,28 @@ def test_format_interval():
     q = (interval(-1, 2) + interval(3, 4)) / interval(3, 12)
     assert str(q) == "[0.5,0.916666666667]"
     assert ia.format_interval(q.raw, raw=True) == "(0.916666666667,0.5)"
+
+
+def test_mode_is_an_arithmetic_mode_member_or_its_value():
+    # mode="true" once built a number whose x - x was [-1, 1]
+    for value, member in (("true", TRUE), ("semantic", SEM)):
+        for x in (
+            interval(1, 2, mode=value),
+            interval(1.5, mode=value),
+            interval(1.5, eps=0.5, mode=value),
+            ia.IntervalNumber(value, embed(1, 2)),
+        ):
+            assert x.mode is member
+            d = x - x
+            assert d.canonical.midpoint == 0.0
+            assert d.width == (0.0 if member is TRUE else 2 * x.width)
+    for bad in ("TRUE", "", None, 1, ia.FdStyle.FULL):
+        with pytest.raises(ValueError):
+            interval(1, 2, mode=bad)
+        with pytest.raises(ValueError):
+            interval(1, mode=bad)
+        with pytest.raises(ValueError):
+            ia.IntervalNumber(bad, embed(1, 2))
 
 
 def test_interval_factory():

@@ -1,11 +1,13 @@
 import math
 import random
+import sys
 
 import pytest
 from helpers import (
     bits,
     reference_fd_first,
     reference_fd_second,
+    reference_gradient_descent,
     reference_newton_raphson,
 )
 
@@ -13,6 +15,7 @@ import intalg as ia
 from intalg import (
     ArithmeticMode,
     ConvergenceError,
+    DomainError,
     FdStyle,
     OptimizerConfig,
     fd_first,
@@ -103,6 +106,77 @@ def test_fd_full_requires_true_mode():
     with pytest.raises(ValueError):
         fd_first(square, interval(1, 2, mode=SEM), 1e-6, FdStyle.FULL)
     assert fd_first(square, interval(1, 1, mode=SEM), 1e-6).midpoint == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("fd", (fd_first, fd_second))
+@pytest.mark.parametrize("h", (0.0, -1e-6, math.nan, math.inf, True, "1e-6", None))
+def test_fd_rejects_a_step_that_is_not_a_positive_finite_real(fd, h):
+    # h = 0 once raised a bare ZeroDivisionError in midpoint style
+    for style in FdStyle:
+        f = Counted(xexp)
+        with pytest.raises(ValueError, match="h must be"):
+            fd(f, interval(2, eps=0.1), h, style)
+        assert f.calls == 0
+
+
+@pytest.mark.parametrize("fd", (fd_first, fd_second))
+def test_fd_style_is_an_fd_style_member_or_its_value(fd):
+    x = interval(2, eps=0.1)
+    for value, member in (("midpoint", FdStyle.MIDPOINT), ("full", FdStyle.FULL)):
+        got = fd(xexp, x, 1e-6, value)
+        assert bits(got.coeffs) == bits(fd(xexp, x, 1e-6, member).coeffs)
+    for bad in ("MIDPOINT", "Full", None, 0):
+        with pytest.raises(ValueError):
+            fd(xexp, x, 1e-6, bad)
+    # the full style's true-mode check sees the value too
+    with pytest.raises(ValueError, match="true arithmetic"):
+        fd(xexp, interval(2, eps=0.1, mode=SEM), 1e-6, "full")
+
+
+def test_config_style_is_an_fd_style_member_or_its_value():
+    assert OptimizerConfig(style="midpoint").style is FdStyle.MIDPOINT
+    assert OptimizerConfig(style="full").style is FdStyle.FULL
+    for bad in ("MIDPOINT", None, 1):
+        with pytest.raises(ValueError):
+            OptimizerConfig(style=bad)
+    # the value "midpoint" keeps the point iterates of midpoint style
+    x0 = interval(2, eps=0.1)
+    want = trace_bits(gradient_descent(xexp, x0))
+    assert trace_bits(gradient_descent(xexp, x0, OptimizerConfig(style="midpoint"))) == want
+
+
+@pytest.mark.parametrize("fd, h, q", ((fd_first, 1e-320, 2e-320), (fd_second, 1e-160, 1e-320)))
+def test_full_style_divisor_without_a_float_inverse(fd, h, q):
+    # [q, q] = [2h, 2h] or [h*h, h*h] has no float inverse; each call raises
+    # the error of dividing by it after the same evaluations, every time
+    with pytest.raises(DomainError) as direct:
+        interval(1.0) / q
+    for _ in range(2):
+        f = Counted(xexp)
+        with pytest.raises(DomainError) as exc:
+            fd(f, interval(2, eps=0.1), h, FdStyle.FULL)
+        assert str(exc.value) == str(direct.value)
+        assert f.calls == (2 if fd is fd_first else 3)
+
+
+def test_full_style_gradient_inverts_its_divisor_once(monkeypatch):
+    # 300 iterations divide by [2h, 2h] 600 times; the inverse is taken once,
+    # or not at all when an earlier run at the same h stored it
+    module = sys.modules["intalg.interval"]
+    inverted = []
+
+    def counting_inv(u):
+        inverted.append(u.coeffs)
+        return ia.alg_inv(u)
+
+    monkeypatch.setattr(module, "alg_inv", counting_inv)
+    cfg = OptimizerConfig(h=3e-6, max_iter=300, style=FdStyle.FULL)
+    try:
+        trace = gradient_descent(xexp, interval(2, eps=0.1), cfg)
+    except ConvergenceError as exc:
+        trace = exc.trace
+    assert trace[-1].index > 100
+    assert len(inverted) <= 1
 
 
 def test_config_validation():
@@ -272,6 +346,41 @@ def test_newton_traces_match_reference_bit_for_bit(style, f):
         cfg = OptimizerConfig(h=rng.choice((1e-6, 1e-4)), eps=1e-10, max_iter=60, style=style)
         want = trace_bits(reference_newton_raphson(f, x0, cfg))
         assert trace_bits(newton_raphson(f, x0, cfg)) == want
+
+
+# (start range, rho range) per objective, where fixed-step descent converges
+# in both styles
+_GRADIENT_STARTS = {
+    xexp: ((-1.5, 2.0), (0.05, 0.3)),
+    quartic: ((0.3, 1.6), (0.02, 0.12)),
+    expm2x: ((-1.5, 2.0), (0.1, 0.8)),
+}
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+@pytest.mark.parametrize("f", (xexp, quartic, expm2x))
+def test_gradient_traces_match_reference_bit_for_bit(style, f):
+    rng = random.Random(29)
+    (slo, shi), (rlo, rhi) = _GRADIENT_STARTS[f]
+    # full style divides, which only order 4 can
+    orders = (4,) if style is FdStyle.FULL else (4, 5, 7)
+    for _ in range(6):
+        x0 = interval(
+            round(rng.uniform(slo, shi), 3),
+            eps=rng.choice((0.0, 0.05, 0.1)),
+            order=rng.choice(orders),
+        )
+        cfg = OptimizerConfig(
+            h=rng.choice((1e-6, 1e-4)),
+            rho=round(rng.uniform(rlo, rhi), 3),
+            max_iter=60,
+            style=style,
+        )
+        try:
+            got = gradient_descent(f, x0, cfg)
+        except ConvergenceError as exc:
+            got = exc.trace
+        assert trace_bits(got) == trace_bits(reference_gradient_descent(f, x0, cfg))
 
 
 @pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))

@@ -180,6 +180,27 @@ def test_interval_number_round_trips_keep_the_element(read_raw):
                 twin.mode = ia.ArithmeticMode.SEMANTIC
 
 
+def test_generalized_interval_is_slotted_and_round_trips_bit_for_bit():
+    # collapse fills the slots directly; both ways give the same record
+    pairs = [
+        GeneralizedInterval(-0.0, 5e-324),
+        ia.collapse(AlgebraElement(4, (0.0, -0.0, 5e-324, 1e300))),
+        interval(3, 1).raw,
+    ]
+    for g in pairs:
+        assert type(g) is GeneralizedInterval and not hasattr(g, "__dict__")
+        assert g == GeneralizedInterval(g.lo, g.hi)
+        for name in ("lo", "hi", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        for round_trip in _ROUND_TRIPS:
+            twin = round_trip(g)
+            assert type(twin) is GeneralizedInterval
+            assert bits((twin.lo, twin.hi)) == bits((g.lo, g.hi))
+
+
 @pytest.mark.parametrize("read_raw", (False, True))
 def test_interval_number_is_one_slotted_object(read_raw):
     for x in _numbers():
