@@ -126,9 +126,15 @@ def fd_first(
     h must be a positive, finite real and style an FdStyle member or its
     value; anything else raises ValueError.
     """
-    style = _fd_style(x, h, style)
+    return _first_difference(f, x, h, _fd_style(x, h, style))[3]
+
+
+def _first_difference(f: IntervalFunction, x: IntervalNumber, h: float, style: FdStyle):
+    """The center c, f(c+h), f(c-h) and fd_first's quotient, for arguments
+    that ``_fd_style`` has checked."""
     c = _center(x, style)
-    return _quotient(f(c + h) - f(c - h), 2.0 * h, x, style)
+    up, down = f(c + h), f(c - h)
+    return c, up, down, _quotient(up - down, 2.0 * h, x, style)
 
 
 def fd_second(
@@ -138,8 +144,9 @@ def fd_second(
     style: FdStyle | str = FdStyle.MIDPOINT,
 ) -> IntervalNumber:
     """Central second difference (f(x+h) + f(x-h) - 2 f(x)) / h^2; a Newton
-    step shares f(x+h) and f(x-h) with its first difference.  Its arguments
-    are checked as ``fd_first``'s, and h*h must not underflow to 0."""
+    step takes f(x+h) and f(x-h) from its stop test's first difference
+    instead.  Its arguments are checked as ``fd_first``'s, and h*h must not
+    underflow to 0."""
     style = _fd_style(x, h, style)
     h2 = _h_squared(h)
     c = _center(x, style)
@@ -150,18 +157,34 @@ def _descend(
     f: IntervalFunction,
     x0: IntervalNumber,
     cfg: OptimizerConfig,
-    step: Callable[[IntervalNumber], IntervalNumber],
+    step: Callable[..., IntervalNumber],
 ) -> tuple[IterationRecord, ...]:
-    x = x0
-    trace = [IterationRecord(0, x.raw, f(x).raw)]
+    """Trace x <- step(x, c, f(c+h), f(c-h), f'(x), f(x)) from x0 until
+    norm(f'(x)) <= eps, or raise ConvergenceError after max_iter updates.
+
+    Each pass evaluates f at c+h and c-h once, for the stop test's first
+    difference, and hands those values and the trace row's f(x) to step.
+    x0 and f(x0) must be interval numbers (TypeError); h and the style are
+    checked once, after f(x0), since updates keep x0's mode and order.
+    """
+    if not isinstance(x0, IntervalNumber):
+        raise TypeError(f"x0 must be an IntervalNumber, not {type(x0).__name__}")
+    x, fx = x0, f(x0)
+    if not isinstance(fx, IntervalNumber):
+        raise TypeError(
+            f"the objective must return an IntervalNumber, not {type(fx).__name__}"
+        )
+    trace = [IterationRecord(0, x.raw, fx.raw)]
+    h, style = cfg.h, _fd_style(x, cfg.h, cfg.style)
     for k in range(1, cfg.max_iter + 2):  # the last pass only tests
-        fp = fd_first(f, x, cfg.h, cfg.style)
+        c, up, down, fp = _first_difference(f, x, h, style)
         if fp.norm <= cfg.eps:
             return tuple(trace)
         if k > cfg.max_iter:
             break
-        x = step(x)
-        trace.append(IterationRecord(k, x.raw, f(x).raw))
+        x = step(x, c, up, down, fp, fx)
+        fx = f(x)
+        trace.append(IterationRecord(k, x.raw, fx.raw))
     raise ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations "
         f"(derivative norm {fp.norm:.3e} > {cfg.eps:.3e})",
@@ -182,7 +205,9 @@ def gradient_descent(
     """
     cfg = cfg or OptimizerConfig()
 
-    def step(x: IntervalNumber) -> IntervalNumber:
+    def step(x: IntervalNumber, *_) -> IntervalNumber:
+        # its own fd_first, not the stop test's: bench/tracer.py's self-check
+        # pins 5 evaluations per gradient iteration
         return x - cfg.rho * fd_first(f, x, cfg.h, cfg.style)
 
     return _descend(f, x0, cfg, step)
@@ -193,16 +218,18 @@ def newton_raphson(
     x0: IntervalNumber,
     cfg: OptimizerConfig | None = None,
 ) -> tuple[IterationRecord, ...]:
-    """Critical-point search x <- x - f'(x)/f''(x) until norm(f'(x)) <= eps; a
-    step evaluates f once each at x+h, x-h and x for both differences."""
+    """Critical-point search x <- x - f'(x)/f''(x) until norm(f'(x)) <= eps.
+
+    A step reuses the stop test's f(x+h), f(x-h) and first difference, and
+    in full style the trace row's f(x); it evaluates f only at the midpoint
+    in midpoint style, so an iteration makes 4 evaluations (midpoint) or 3
+    (full).
+    """
     cfg = cfg or OptimizerConfig(eps=1e-10)
 
-    def step(x: IntervalNumber) -> IntervalNumber:
+    def step(x, c, up, down, fp, fx) -> IntervalNumber:
         h2 = _h_squared(cfg.h)
-        c = _center(x, cfg.style)
-        up, down = f(c + cfg.h), f(c - cfg.h)
-        fp = _quotient(up - down, 2.0 * cfg.h, x, cfg.style)
-        fpp = _quotient(up + down - 2.0 * f(c), h2, x, cfg.style)
-        return x - fp / fpp
+        fc = fx if c is x else f(c)  # full style differences at x itself
+        return x - fp / _quotient(up + down - 2.0 * fc, h2, x, cfg.style)
 
     return _descend(f, x0, cfg, step)

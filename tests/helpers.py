@@ -330,25 +330,35 @@ def reference_gradient_descent(f, x0: IntervalNumber, cfg) -> tuple:
     return tuple(trace)
 
 
-def reference_newton_raphson(f, x0: IntervalNumber, cfg) -> tuple:
-    """Newton-Raphson as it took each step from separate ``fd_first`` and
-    ``fd_second`` calls, 8 evaluations of f an iteration.
-
-    Kept as the oracle for ``newton_raphson``, which evaluates f once at each
-    of x+h, x-h and x per step: the values are the same, so the two traces
-    agree bit for bit.  Returns the trace up to convergence or ``max_iter``
-    updates.
-    """
+def reference_newton_iterates(f, x0: IntervalNumber, cfg):
+    """The iterates x0, x1, ... of ``reference_newton_raphson``, up to
+    convergence or ``max_iter`` updates; each step is taken from separate
+    ``fd_first`` and ``fd_second`` calls, 8 evaluations of f an iteration."""
     x = x0
-    trace = [IterationRecord(0, x.raw, f(x).raw)]
-    for k in range(1, cfg.max_iter + 1):
+    yield x
+    for _ in range(cfg.max_iter):
         if reference_fd_first(f, x, cfg.h, cfg.style).norm <= cfg.eps:
-            break
+            return
         fp = reference_fd_first(f, x, cfg.h, cfg.style)
         fpp = reference_fd_second(f, x, cfg.h, cfg.style)
         x = x - fp / fpp
-        trace.append(IterationRecord(k, x.raw, f(x).raw))
-    return tuple(trace)
+        yield x
+
+
+def reference_newton_raphson(f, x0: IntervalNumber, cfg) -> tuple:
+    """Newton-Raphson as it took each step from separate ``fd_first`` and
+    ``fd_second`` calls, with f(x) for the trace taken before each stop test.
+
+    Kept as the oracle for ``newton_raphson``, which reuses the stop test's
+    f(x+h), f(x-h) and first difference in the step, and in full style the
+    trace's f(x), so it evaluates each distinct point once: the values are
+    the same, so the traces, and the errors an objective raises partway,
+    agree.  Returns the trace up to convergence or ``max_iter`` updates.
+    """
+    return tuple(
+        IterationRecord(k, x.raw, f(x).raw)
+        for k, x in enumerate(reference_newton_iterates(f, x0, cfg))
+    )
 
 
 def _neighbors(value: float):

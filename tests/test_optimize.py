@@ -8,6 +8,7 @@ from helpers import (
     reference_fd_first,
     reference_fd_second,
     reference_gradient_descent,
+    reference_newton_iterates,
     reference_newton_raphson,
 )
 
@@ -237,14 +238,92 @@ def test_gradient_iteration_costs_five_evaluations():
 
 
 @pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
-def test_newton_iteration_costs_six_evaluations(style):
-    # the stopping test's two, one each at x+h, x-h and x for both
-    # differences of the step, and the trace's f(x)
+def test_newton_iteration_evaluation_count(style):
+    # the stopping test's two at x+h and x-h, which the step reuses, and the
+    # trace's f(x); the step evaluates f at the center only in midpoint
+    # style, since in full style the center is x and the trace's f(x) serves
     calls = [
         _evaluations(newton_raphson, quartic, OptimizerConfig(eps=1e-10, max_iter=n, style=style))
         for n in (1, 2)
     ]
-    assert calls[1] - calls[0] == 6
+    assert calls[1] - calls[0] == {FdStyle.MIDPOINT: 4, FdStyle.FULL: 3}[style]
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+def test_newton_never_evaluates_the_same_argument_twice(style):
+    # full style differences at x itself: the step takes the trace's f(x)
+    # instead of passing f the same iterate again
+    args = []
+
+    def logged(x):
+        args.append(x)
+        return quartic(x)
+
+    trace = newton_raphson(logged, interval(2, eps=0.1), OptimizerConfig(eps=1e-10, style=style))
+    assert trace[-1].index > 3
+    assert len({id(a) for a in args}) == len(args)
+
+
+def _log_minus_2x(x):
+    return ia.log(x) - 2 * x
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+@pytest.mark.parametrize(
+    "f, x0, h",
+    (
+        # the first step lands in (0, h): the stop test's f(x-h) takes log of
+        # a negative point
+        (_log_minus_2x, interval(0.99995), 1e-3),
+        # the first step crosses 0: the trace's f(x), or in full style the
+        # step's division, fails
+        (_log_minus_2x, interval(0.99995, eps=0.01), 1e-3),
+        # the first step jumps to about 44000: exp overflows
+        (expm2x, interval(-10, eps=0.05), 1e-6),
+    ),
+    ids=("log-in-stop-test", "log-across-0", "exp-overflow"),
+)
+def test_newton_raises_what_the_reference_raises(style, f, x0, h):
+    cfg = OptimizerConfig(h=h, eps=1e-10, style=style)
+    with pytest.raises(ia.IntalgError) as want:
+        reference_newton_raphson(f, x0, cfg)
+    with pytest.raises(ia.IntalgError) as got:
+        newton_raphson(f, x0, cfg)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+def test_newton_convergence_error_matches_reference(style):
+    x0 = interval(2, eps=0.1)
+    for n in range(1, 6):
+        cfg = OptimizerConfig(eps=1e-10, max_iter=n, style=style)
+        with pytest.raises(ConvergenceError) as exc:
+            newton_raphson(quartic, x0, cfg)
+        assert trace_bits(exc.value.trace) == trace_bits(reference_newton_raphson(quartic, x0, cfg))
+        last = list(reference_newton_iterates(quartic, x0, cfg))[-1]
+        assert exc.value.residual == reference_fd_first(quartic, last, cfg.h, style).norm
+
+
+@pytest.mark.parametrize("method", (gradient_descent, newton_raphson))
+def test_full_style_semantic_start_fails_after_one_evaluation(method):
+    f = Counted(xexp)
+    with pytest.raises(ValueError, match="true arithmetic"):
+        method(f, interval(2, eps=0.1, mode=SEM), OptimizerConfig(style=FdStyle.FULL))
+    assert f.calls == 1
+
+
+@pytest.mark.parametrize("method", (gradient_descent, newton_raphson))
+def test_descent_rejects_a_start_or_objective_value_that_is_not_an_interval(method):
+    # both once raised a bare AttributeError from reading .raw
+    f = Counted(square)
+    with pytest.raises(TypeError, match="x0 must be an IntervalNumber, not float"):
+        method(f, 2.0)
+    assert f.calls == 0
+    f = Counted(lambda x: 1.0)
+    with pytest.raises(TypeError, match="objective must return an IntervalNumber, not float"):
+        method(f, interval(2, eps=0.1))
+    assert f.calls == 1
 
 
 # -- gradient descent -----------------------------------------------------------
@@ -386,9 +465,12 @@ def test_gradient_traces_match_reference_bit_for_bit(style, f):
 @pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
 def test_newton_rejects_h_whose_square_underflows(style):
     # the step checks h*h as fd_second does: at 0, f(h) - f(-h) of x e^x
-    # does not vanish although h*h does
+    # does not vanish although h*h does; the check comes before the step's
+    # own evaluation, after the trace's f(x) and the stop test's two
+    f = Counted(xexp)
     with pytest.raises(ValueError, match="h=1e-170"):
-        newton_raphson(xexp, interval(0.0), OptimizerConfig(h=1e-170, style=style))
+        newton_raphson(f, interval(0.0), OptimizerConfig(h=1e-170, style=style))
+    assert f.calls == 3
 
 
 # -- trace CSV --------------------------------------------------------------------
