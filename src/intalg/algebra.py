@@ -51,8 +51,8 @@ class _Record:
     assignment and deletion that raise AttributeError.  A subclass that does
     not define ``__init__`` gets a generated one taking the fields in order,
     with class-attribute values as defaults, that calls ``__post_init__``
-    when the class defines one.  Fields are instance attributes, stored with
-    ``object.__setattr__``, which pickling and copying restore directly.
+    when the class defines one.  Pickling and copying call the class on the
+    field values, since the default would restore them by assignment.
     The base has no slots of its own, so a subclass that declares
     ``__slots__`` has no instance ``__dict__``.
     """
@@ -68,6 +68,9 @@ class _Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return (type(self), self._values())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -109,6 +112,11 @@ def _field_init(cls):
     return init
 
 
+def _slot_setters(cls) -> tuple:
+    """The setters of cls's own slots, in order, which bypass the refused assignment."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
 def _check_count(name: str, value) -> None:
     """Raise ValueError, naming the argument, unless value is an int (a bool
     is not one here) of at least 1: an iteration count."""
@@ -116,6 +124,25 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise ValueError, naming the argument, unless value is an int or a
+    float (a bool is not a real number here)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_positive(name: str, value, finite: bool = True) -> None:
+    """Raise ValueError, naming the argument, unless value is a real number
+    above 0, and finite unless told otherwise."""
+    _check_real(name, value)
+    # each test is written so that NaN fails it
+    if finite:
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    elif not value > 0:
+        raise ValueError(f"{name} must be positive")
 
 
 class AlgebraOrder(IntEnum):
@@ -274,6 +301,7 @@ class AlgebraElement(_Record):
     nonnegative cone even though embeddings of proper intervals never do.
     """
 
+    __slots__ = ("order", "coeffs")
     order: AlgebraOrder
     coeffs: tuple[float, ...]
 
@@ -284,8 +312,8 @@ class AlgebraElement(_Record):
             raise ValueError(
                 f"expected {int(order)} coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_order(self, order)
+        _set_coeffs(self, coeffs)
 
     @classmethod
     def zero(cls, order: int | AlgebraOrder) -> "AlgebraElement":
@@ -317,15 +345,15 @@ class AlgebraElement(_Record):
 
 
 _new = object.__new__  # bound once: every operation's result is built here
+_set_order, _set_coeffs = _slot_setters(AlgebraElement)
 
 
 def _element(order: AlgebraOrder, coeffs: tuple[float, ...]) -> AlgebraElement:
     """Build an element from an AlgebraOrder member and a tuple of floats of
     its length, skipping the public constructor's conversion and checks."""
     element = _new(AlgebraElement)
-    fields = element.__dict__
-    fields["order"] = order
-    fields["coeffs"] = coeffs
+    _set_order(element, order)
+    _set_coeffs(element, coeffs)
     return element
 
 

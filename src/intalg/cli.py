@@ -38,10 +38,6 @@ DEMO_MATRICES = {
 }
 
 
-def _mode(args) -> ArithmeticMode:
-    return ArithmeticMode(args.mode)
-
-
 def _fmt(args, x) -> str:
     return format_interval(x.raw, raw=args.raw)
 
@@ -66,7 +62,7 @@ def _parse_binding(text: str) -> tuple[str, tuple[float, float]]:
 
 
 def _cmd_calc(args) -> int:
-    mode = _mode(args)
+    mode = ArithmeticMode(args.mode)
     bindings = {}
     for binding in args.let or []:
         name, (lo, hi) = _parse_binding(binding)
@@ -111,13 +107,13 @@ def _make_function(expr_text: str, mode: ArithmeticMode, order: int):
 
 
 def _run_optimizer(args) -> int:
-    mode = _mode(args)
+    mode = ArithmeticMode(args.mode)
     f = _make_function(args.expr, mode, args.order)
     lo, hi = parse_interval_literal(args.x0)
     x0 = interval(lo, hi, order=args.order, mode=mode)
     cfg = OptimizerConfig(
         h=args.h,
-        rho=getattr(args, "rho", 1e-2),
+        rho=args.rho,
         eps=args.eps,
         max_iter=args.max_iter,
         style=FdStyle(args.style),
@@ -138,7 +134,7 @@ def _run_optimizer(args) -> int:
 
 
 def _load_matrix(args) -> IntervalMatrix:
-    mode = _mode(args)
+    mode = ArithmeticMode(args.mode)
     if args.file:
         text = Path(args.file).read_text(encoding="utf-8")
         return parse_matrix_text(text, order=args.order, mode=mode)
@@ -234,59 +230,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="right factor, e.g. [-4,2]")
     p.set_defaults(handler=_cmd_compare_mul, algo_exit=2)
 
-    for name, runner, eps_default in (
-        ("gradient", gradient_descent, 1e-6),
-        ("newton", newton_raphson, 1e-10),
-    ):
-        p = sub.add_parser(
-            name, parents=[common, raw], help=f"run {name} on an expression in x"
-        )
-        p.add_argument("--expr", required=True, help="objective, e.g. 'x*exp(x)'")
-        p.add_argument("--x0", required=True, help="start interval, e.g. 2±0.1")
-        if name == "gradient":
-            p.add_argument("--rho", type=_finite_float, default=1e-2, help="step size")
-        p.add_argument(
-            "--h", type=_finite_float, default=1e-6, help="finite-difference step"
-        )
-        p.add_argument(
-            "--eps", type=_finite_float, default=eps_default, help="derivative-norm stop"
-        )
-        p.add_argument(
-            "--style",
-            choices=[s.value for s in FdStyle],
-            default=FdStyle.MIDPOINT.value,
-            help="finite-difference style",
-        )
-        p.add_argument("--max-iter", type=int, default=100_000)
-        p.add_argument("--csv", help="write the iteration trace to this path")
-        p.set_defaults(handler=_run_optimizer, runner=runner, algo_exit=3)
+    optimizer = argparse.ArgumentParser(add_help=False, parents=[common, raw])
+    optimizer.add_argument("--expr", required=True, help="objective, e.g. 'x*exp(x)'")
+    optimizer.add_argument("--x0", required=True, help="start interval, e.g. 2±0.1")
+    optimizer.add_argument(
+        "--h", type=_finite_float, default=1e-6, help="finite-difference step"
+    )
+    optimizer.add_argument(
+        "--style",
+        choices=[s.value for s in FdStyle],
+        default=FdStyle.MIDPOINT.value,
+        help="finite-difference style",
+    )
+    optimizer.add_argument("--max-iter", type=int, default=100_000)
+    optimizer.add_argument("--csv", help="write the iteration trace to this path")
+    optimizer.set_defaults(handler=_run_optimizer, algo_exit=3)
+    p = sub.add_parser(
+        "gradient", parents=[optimizer], help="run gradient on an expression in x"
+    )
+    p.add_argument("--rho", type=_finite_float, default=1e-2, help="step size")
+    p.add_argument("--eps", type=_finite_float, default=1e-6, help="derivative-norm stop")
+    p.set_defaults(runner=gradient_descent)
+    p = sub.add_parser(
+        "newton", parents=[optimizer], help="run newton on an expression in x"
+    )
+    p.add_argument("--eps", type=_finite_float, default=1e-10, help="derivative-norm stop")
+    p.set_defaults(runner=newton_raphson, rho=OptimizerConfig.rho)
 
-    for name, handler in (("eigen", _cmd_eigen), ("invert", _cmd_invert)):
-        p = sub.add_parser(
-            name,
-            parents=[common, raw],
-            help=(
-                "power iteration on an interval matrix"
-                if name == "eigen"
-                else "Schulz-Hotelling inversion of an interval matrix"
-            ),
-        )
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--file", help="matrix file (rows of interval literals)")
-        src.add_argument("--demo", choices=sorted(DEMO_MATRICES))
-        p.add_argument(
-            "--eps",
-            type=_finite_float,
-            default=0.0,
-            help="entry radius for --demo matrices",
-        )
-        if name == "eigen":
-            p.add_argument("--iters", type=int, default=10)
-            p.add_argument("--csv", help="write per-iteration eigenvalue bounds")
-        else:
-            p.add_argument("--tol", type=_finite_float, default=1e-12)
-            p.add_argument("--max-iter", type=int, default=100)
-        p.set_defaults(handler=handler, algo_exit=3)
+    matrix = argparse.ArgumentParser(add_help=False, parents=[common, raw])
+    src = matrix.add_mutually_exclusive_group(required=True)
+    src.add_argument("--file", help="matrix file (rows of interval literals)")
+    src.add_argument("--demo", choices=sorted(DEMO_MATRICES))
+    matrix.add_argument(
+        "--eps",
+        type=_finite_float,
+        default=0.0,
+        help="entry radius for --demo matrices",
+    )
+    matrix.set_defaults(algo_exit=3)
+    p = sub.add_parser(
+        "eigen", parents=[matrix], help="power iteration on an interval matrix"
+    )
+    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--csv", help="write per-iteration eigenvalue bounds")
+    p.set_defaults(handler=_cmd_eigen)
+    p = sub.add_parser(
+        "invert",
+        parents=[matrix],
+        help="Schulz-Hotelling inversion of an interval matrix",
+    )
+    p.add_argument("--tol", type=_finite_float, default=1e-12)
+    p.add_argument("--max-iter", type=int, default=100)
+    p.set_defaults(handler=_cmd_invert)
 
     return parser
 

@@ -309,6 +309,10 @@ def evaluate(
     mode = _as_mode(mode)
     order = _as_order(order)
     for name, value in bindings.items():
+        if not isinstance(value, IntervalNumber):
+            raise EvalError(
+                f"binding {name!r} is a {type(value).__name__}, not an IntervalNumber"
+            )
         if value.mode is not mode:
             raise EvalError(
                 f"binding {name!r} has mode {value.mode.value}, expected {mode.value}"

@@ -45,10 +45,12 @@ from .algebra import (
     AlgebraElement,
     AlgebraOrder,
     _as_order,
+    _check_real,
     _element,
+    _new,
     _Record,
+    _slot_setters,
     alg_inv,
-    alg_mul,  # noqa: F401  (a binding that product counters wrap, as in linalg)
 )
 from .errors import (
     DivisionNotAllowedError,
@@ -114,11 +116,6 @@ class GeneralizedInterval(_Record):
         _set_lo(self, float(lo))
         _set_hi(self, float(hi))
 
-    def __reduce__(self):
-        # Pickle's default restores slots by assignment, which this class
-        # refuses, so copies are rebuilt through the public constructor.
-        return (type(self), (self.lo, self.hi))
-
     @property
     def is_proper(self) -> bool:
         return self.lo <= self.hi
@@ -145,12 +142,7 @@ class GeneralizedInterval(_Record):
         return format_interval(self)
 
 
-_new = object.__new__
-# The slots' own setters: the value classes here refuse assignment, and these
-# are the quickest way past that.
-_set_lo, _set_hi = (
-    GeneralizedInterval.__dict__[name].__set__ for name in GeneralizedInterval.__slots__
-)
+_set_lo, _set_hi = _slot_setters(GeneralizedInterval)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +328,7 @@ class IntervalNumber(_Record):
 
     Values are immutable; equality and ordering act on the canonical endpoint
     pair (two distinct elements can denote the same interval), while
-    :meth:`same_element` compares the underlying coefficient vectors.
+    ``x.coeffs == y.coeffs`` compares the underlying coefficient vectors.
     """
 
     __slots__ = ("mode", "order", "coeffs", "_raw")
@@ -351,8 +343,7 @@ class IntervalNumber(_Record):
         _set_raw(self, None)
 
     def __reduce__(self):
-        # Pickle's default restores slots by assignment, which this class
-        # refuses, so copies are rebuilt through the public constructor.
+        # The public constructor takes an element, not the fields.
         return (type(self), (self.mode, self.element))
 
     @property
@@ -537,14 +528,8 @@ class IntervalNumber(_Record):
         a, b = self.canonical, other.canonical
         return a.lo <= b.lo and b.hi <= a.hi
 
-    def same_element(self, other: "IntervalNumber") -> bool:
-        """Identity of the underlying coefficient vectors (not just the interval)."""
-        return self.order == other.order and self.coeffs == other.coeffs
 
-
-_set_mode, _set_order, _set_coeffs, _set_raw = (
-    IntervalNumber.__dict__[name].__set__ for name in IntervalNumber.__slots__
-)
+_set_mode, _set_order, _set_coeffs, _set_raw = _slot_setters(IntervalNumber)
 
 
 def _number(
@@ -600,13 +585,15 @@ def interval(
     """Build an interval number.
 
     ``interval(a, b)`` is [a, b]; ``interval(c)`` the point interval [c, c];
-    ``interval(c, eps=e)`` the ball [c - e, c + e].  ``mode`` is an
-    ArithmeticMode member or its value; anything else raises ValueError.
+    ``interval(c, eps=e)`` the ball [c - e, c + e] for a real e >= 0.
+    ``mode`` is an ArithmeticMode member or its value; anything else raises
+    ValueError.
     """
     mode = _as_mode(mode)
     if eps is not None:
         if hi is not None:
             raise ValueError("give either hi or eps, not both")
+        _check_real("eps", eps)
         if eps < 0:
             raise ValueError("eps must be nonnegative")
         lo, hi = float(lo) - eps, float(lo) + eps

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .algebra import _ADD, AlgebraOrder, _check_count, _Record, alg_mul
+from .algebra import _ADD, AlgebraOrder, _check_count, _check_positive, _Record, alg_mul
 from .errors import (
     ConvergenceError,
     ModeMismatchError,
@@ -294,8 +294,7 @@ def schulz_invert(
     if m.mode is not ArithmeticMode.TRUE:
         raise ModeMismatchError("schulz_invert requires true arithmetic")
     _check_count("max_iter", max_iter)
-    if not tol > 0:  # NaN fails this too
-        raise ValueError("tol must be positive")
+    _check_positive("tol", tol, finite=False)
     n = nrows
     scale = interval(1.0, order=m.order, mode=m.mode) / frob_sq(m)
     x = transpose(m).scale(scale)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
-from .algebra import AlgebraOrder, _check_count, _Record
-from .errors import ConvergenceError
+from .algebra import AlgebraOrder, _check_count, _check_positive, _Record
+from .errors import ConvergenceError, DomainError
 from .interval import (
     ArithmeticMode,
     IntervalNumber,
@@ -16,6 +15,7 @@ from .interval import (
     _number,
     _point,
     _reciprocal,
+    format_interval,
 )
 
 __all__ = [
@@ -57,19 +57,6 @@ class OptimizerConfig(_Record):
         _check_positive("eps", self.eps, finite=False)
         _check_count("max_iter", self.max_iter)
         object.__setattr__(self, "style", FdStyle(self.style))
-
-
-def _check_positive(name: str, value, finite: bool = True) -> None:
-    """Raise ValueError, naming the argument, unless value is a real number
-    (a bool is not one here) above 0, and finite unless told otherwise."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    # each test is written so that NaN fails it
-    if finite:
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
-    elif not value > 0:
-        raise ValueError(f"{name} must be positive")
 
 
 def _fd_style(x: IntervalNumber, h: float, style: FdStyle | str) -> FdStyle:
@@ -115,6 +102,16 @@ def _h_squared(h: float) -> float:
     return h2
 
 
+def _check_step(c: IntervalNumber, c_up, c_down, h: float) -> None:
+    """Raise DomainError when c_up = c + h or c_down = c - h rounds back to
+    c: the difference would be exactly 0, a false stationary point."""
+    if c_up.coeffs == c.coeffs or c_down.coeffs == c.coeffs:
+        raise DomainError(
+            f"finite-difference step h={h!r} is lost next to "
+            f"{format_interval(c.raw)}: adding or subtracting it rounds back"
+        )
+
+
 def fd_first(
     f: IntervalFunction,
     x: IntervalNumber,
@@ -124,7 +121,8 @@ def fd_first(
     """Central first difference (f(x+h) - f(x-h)) / 2h.
 
     h must be a positive, finite real and style an FdStyle member or its
-    value; anything else raises ValueError.
+    value; anything else raises ValueError.  A step that rounds away next to
+    the center raises DomainError.
     """
     return _first_difference(f, x, h, _fd_style(x, h, style))[3]
 
@@ -133,8 +131,16 @@ def _first_difference(f: IntervalFunction, x: IntervalNumber, h: float, style: F
     """The center c, f(c+h), f(c-h) and fd_first's quotient, for arguments
     that ``_fd_style`` has checked."""
     c = _center(x, style)
-    up, down = f(c + h), f(c - h)
-    return c, up, down, _quotient(up - down, 2.0 * h, x, style)
+    c_up, c_down = c + h, c - h
+    up, down = f(c_up), f(c_down)
+    fp = _quotient(up - down, 2.0 * h, x, style)
+    _check_step(c, c_up, c_down, h)  # after the quotient, whose errors come first
+    return c, up, down, fp
+
+
+def _second_difference(up, down, fc, h2: float, x: IntervalNumber, style: FdStyle):
+    """(f(c+h) + f(c-h) - 2 f(c)) / h^2 from the three values."""
+    return _quotient(up + down - 2.0 * fc, h2, x, style)
 
 
 def fd_second(
@@ -150,7 +156,10 @@ def fd_second(
     style = _fd_style(x, h, style)
     h2 = _h_squared(h)
     c = _center(x, style)
-    return _quotient(f(c + h) + f(c - h) - 2.0 * f(c), h2, x, style)
+    c_up, c_down = c + h, c - h
+    d2 = _second_difference(f(c_up), f(c_down), f(c), h2, x, style)
+    _check_step(c, c_up, c_down, h)
+    return d2
 
 
 def _descend(
@@ -201,7 +210,8 @@ def gradient_descent(
     """Fixed-step descent x <- x - rho * f'(x) until norm(f'(x)) <= eps.
 
     The last trace row is the answer.  Raises ConvergenceError (carrying the
-    trace) if max_iter updates do not reach the threshold.
+    trace) if max_iter updates do not reach the threshold, and DomainError
+    when h rounds away next to an iterate, as ``fd_first`` does.
     """
     cfg = cfg or OptimizerConfig()
 
@@ -230,6 +240,6 @@ def newton_raphson(
     def step(x, c, up, down, fp, fx) -> IntervalNumber:
         h2 = _h_squared(cfg.h)
         fc = fx if c is x else f(c)  # full style differences at x itself
-        return x - fp / _quotient(up + down - 2.0 * fc, h2, x, cfg.style)
+        return x - fp / _second_difference(up, down, fc, h2, x, cfg.style)
 
     return _descend(f, x0, cfg, step)

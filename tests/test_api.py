@@ -38,6 +38,7 @@ def test_removed_methods_are_gone():
     assert not hasattr(linalg.IntervalMatrix, "T")
     assert not hasattr(algebra.AlgebraElement, "__mul__")
     assert not hasattr(algebra.AlgebraElement, "is_zero")
+    assert not hasattr(interval_module.IntervalNumber, "same_element")
 
 
 def test_schulz_has_no_residuals_out_parameter():

@@ -204,6 +204,12 @@ def test_compare_mul_same_piece(capsys):
     assert all("[3.0,8.0]" in line for line in out.strip().splitlines())
 
 
+def test_compare_mul_rejects_improper_factors(capsys):
+    code, out, err = run_cli(capsys, "compare-mul", "--x", "[3,1]", "--y", "[-4,2]")
+    assert code == 2
+    assert out == "" and "needs proper intervals" in err
+
+
 def test_compare_mul_zero(capsys):
     code, out, _ = run_cli(capsys, "compare-mul", "--x", "[0,0]", "--y", "[-4,2]")
     assert code == 0
@@ -276,6 +282,7 @@ def test_gradient_failure_exit_3_writes_trace(tmp_path, capsys):
     (
         ("gradient", "--expr", "x*x", "--x0", "[0,1e400]"),
         ("gradient", "--expr", "x*x", "--x0", "1", "--h", "nan"),
+        ("gradient", "--expr", "x*x", "--x0", "1", "--h", "abc"),
         ("gradient", "--expr", "x*x", "--x0", "1", "--rho", "nan"),
         ("gradient", "--expr", "x*x", "--x0", "1", "--eps", "inf"),
         ("newton", "--expr", "x*x", "--x0", "1", "--h=-inf"),
@@ -304,6 +311,21 @@ def test_newton_with_h_too_small_for_second_difference_exits_2(capsys):
     )
     assert code == 2
     assert out == "" and "h=1e-200" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("gradient", "--expr", "(x-3)^2", "--x0", "[1e12,1e12]"),
+        ("newton", "--expr", "x*x", "--x0", "[1,2]", "--h", "1e-200"),
+    ),
+    ids=lambda argv: " ".join(argv),
+)
+def test_step_that_rounds_away_exits_3(capsys, argv):
+    # the difference would be exactly 0 and report x0 as converged
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == "" and "is lost next to" in err and "Traceback" not in err
 
 
 def test_gradient_exp_overflow_exits_3(capsys):

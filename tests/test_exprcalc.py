@@ -114,6 +114,9 @@ def test_eval_checks_binding_consistency():
         evaluate(parse("x"), {"x": interval(1, mode=SEM)}, mode=TRUE)
     with pytest.raises(EvalError):
         evaluate(parse("x"), {"x": interval(1, order=5)}, order=4)
+    for value in (1.0, (1.0, 2.0), None):
+        with pytest.raises(EvalError, match="binding 'x' is a"):
+            evaluate(parse("x+1"), {"x": value})
 
 
 def test_eval_mode_is_an_arithmetic_mode_member_or_its_value():

@@ -700,6 +700,24 @@ def test_contains():
             op(interval(0, 2))
 
 
+@pytest.mark.parametrize("mode", (TRUE, SEM))
+def test_arithmetic_with_a_non_number_is_a_type_error(mode):
+    x = interval(1, 2, mode=mode)
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+        for other in ("a", None, [1], object()):
+            assert getattr(x, f"__{name}__")(other) is NotImplemented
+    for op in (
+        lambda x: x + "a",
+        lambda x: "a" * x,
+        lambda x: x / [1],
+        lambda x: x - None,
+        lambda x: None - x,
+        lambda x: [1] / x,
+    ):
+        with pytest.raises(TypeError):
+            op(x)
+
+
 def test_comparison_ignores_mode_and_order():
     # ordering and containment act on canonical pairs only
     assert interval(1, 2) == interval(1, 2, mode=SEM)
@@ -711,8 +729,8 @@ def test_equality_is_canonical_not_elementwise():
     x = interval(1, 2)
     y = x + interval(0, 0)
     z = ia.IntervalNumber(TRUE, embed(2, 1, 4))  # improper orientation
-    assert x == y and x.same_element(y)
-    assert x == z and not x.same_element(z)
+    assert x == y and x.coeffs == y.coeffs
+    assert x == z and x.coeffs != z.coeffs
     assert hash(x) == hash(z)
 
 
@@ -975,3 +993,9 @@ def test_interval_factory():
         interval(1, 2, eps=0.5)
     with pytest.raises(ValueError):
         interval(1, eps=-1)
+    for bad in (True, "x", [1]):
+        with pytest.raises(ValueError, match="eps must be a real number"):
+            interval(1, eps=bad)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            interval(1, eps=radius)

@@ -61,7 +61,7 @@ M3 = ((1.0, 4.0, 5.0), (4.0, 2.0, 6.0), (5.0, 6.0, 3.0))
 def test_identity_matvec():
     u = IntervalVector([interval(-1, 2), interval(3, 4)])
     assert all(
-        (matvec(identity_matrix(2), u))[i].same_element(u[i]) for i in range(2)
+        (matvec(identity_matrix(2), u))[i].coeffs == u[i].coeffs for i in range(2)
     )
 
 
@@ -196,7 +196,7 @@ def test_matrix_kernels_match_per_entry_fold_bit_for_bit(order, mode):
 def _count_products(monkeypatch):
     # Wrap every module binding of alg_mul the way the benchmark's tracer does.
     calls = []
-    for name in ("intalg.linalg", "intalg.algebra", "intalg.interval"):
+    for name in ("intalg.linalg", "intalg.algebra"):
         module = sys.modules[name]
         original = module.alg_mul
 
@@ -556,6 +556,8 @@ def test_schulz_nonconvergence_carries_residual():
     (
         dict(tol=math.nan),
         dict(tol=0.0),
+        dict(tol="x"),
+        dict(tol=True),
         dict(max_iter=0),
         dict(max_iter=2.5),
         dict(max_iter=True),

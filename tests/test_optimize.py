@@ -197,6 +197,32 @@ def test_fd_second_rejects_h_whose_square_underflows(style):
         fd_second(square, interval(1, 1), 1e-200, style)
 
 
+def _shifted_square(x):
+    return (x - 3) ** 2
+
+
+@pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
+def test_a_step_that_rounds_away_raises(style):
+    # c + h rounding back to c would make the difference exactly 0: a false
+    # stationary point, which the optimizers would report as converged
+    cases = (
+        (fd_first, _shifted_square, interval(1e12), 1e-6),
+        (fd_second, _shifted_square, interval(1e12), 1e-6),
+        (fd_first, square, interval(1, 2), 1e-200),
+        (fd_second, square, interval(1, 2), 1e-100),
+    )
+    for fd, f, x, h in cases:
+        with pytest.raises(DomainError, match=f"h={h!r} is lost"):
+            fd(f, x, h, style)
+    with pytest.raises(DomainError, match="h=1e-06 is lost"):
+        gradient_descent(_shifted_square, interval(1e12), OptimizerConfig(style=style))
+    with pytest.raises(DomainError, match="h=1e-200 is lost"):
+        newton_raphson(square, interval(1, 2), OptimizerConfig(h=1e-200, style=style))
+    # at a negative point h keeps a coefficient of its own
+    got = fd_first(_shifted_square, interval(-1e12), 1e-6, style)
+    assert got.raw == ia.GeneralizedInterval(-2e12, -2e12)
+
+
 @pytest.mark.parametrize("style", (FdStyle.MIDPOINT, FdStyle.FULL))
 @pytest.mark.parametrize("f", (xexp, quartic, expm2x))
 def test_fd_values_match_reference_bit_for_bit(style, f):

@@ -99,7 +99,9 @@ def test_fields_can_be_neither_assigned_nor_deleted(value, text, fields):
 
 @pytest.mark.parametrize("value, text, fields", RECORDS, ids=IDS)
 def test_pickle_and_deepcopy_round_trip(value, text, fields):
-    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+    # every record is rebuilt by calling its class on its fields
+    for round_trip in _ROUND_TRIPS:
+        twin = round_trip(value)
         assert type(twin) is type(value) and twin == value and repr(twin) == text
 
 
@@ -172,7 +174,7 @@ def test_interval_number_round_trips_keep_the_element(read_raw):
             if read_raw:
                 x.raw
             twin = round_trip(x)
-            assert type(twin) is ia.IntervalNumber and twin.same_element(x)
+            assert type(twin) is ia.IntervalNumber and twin.coeffs == x.coeffs
             assert bits(twin.coeffs) == bits(x.coeffs)
             assert twin.mode is x.mode and twin.order is x.order
             assert bits((twin.raw.lo, twin.raw.hi)) == bits((x.raw.lo, x.raw.hi))
@@ -214,3 +216,4 @@ def test_interval_number_is_one_slotted_object(read_raw):
                 delattr(x, name)
         assert x.raw is x.raw
         assert x.element == AlgebraElement(x.order, x.coeffs)
+        assert not hasattr(x.element, "__dict__")
