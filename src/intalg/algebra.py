@@ -404,6 +404,25 @@ def to_split(u: AlgebraElement) -> SplitCoords:
     return SplitCoords(i1=(a1, a4), i2=(a1 + a2, a3 + a4))
 
 
+# The four characters of the order-4 algebra: the real-valued linear maps with
+# chi(e0) = 1 and chi(u v) = chi(u) chi(v).  They are the split pairs' sums and
+# differences, (a1 - a4, a1 + a4) and (a1 + a2) -+ (a3 + a4), so in their
+# coordinates the product is componentwise and an element is four reals.  Both
+# maps divide by 2, not multiply by 0.5, so exact (Fraction) inputs stay exact.
+
+def _chars(c: tuple) -> tuple:
+    """The four order-4 characters of a coefficient tuple."""
+    c0, c1, c2, c3 = c
+    return (c0 - c3, c0 + c3, c0 + c1 - c2 - c3, c0 + c1 + c2 + c3)
+
+
+def _from_chars(x1, x2, x3, x4) -> tuple:
+    """The order-4 coefficient tuple whose characters are x1, x2, x3, x4."""
+    c0 = (x1 + x2) / 2
+    c3 = (x2 - x1) / 2
+    return (c0, (x3 + x4) / 2 - c0, (x4 - x3) / 2 - c3, c3)
+
+
 def _split_inverse(u: float, v: float) -> tuple[float, float]:
     # Split-complex inverse: (u, v)^-1 = (u, -v) / (u^2 - v^2).  The squares
     # are formed on the pair scaled by 2**-e, which brings its larger entry

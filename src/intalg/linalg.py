@@ -1,16 +1,36 @@
 """Interval vectors and matrices, power iteration and Schulz-Hotelling inversion.
 
 All reductions run in a fixed left-to-right order so results are reproducible;
-nothing collapses to endpoints between operations.
+nothing collapses to endpoints between operations.  ``matmul``, ``matvec``,
+``dot`` and ``power_iterate`` run the algebra's product kernel, and their
+results are pinned bit for bit.  ``schulz_invert`` iterates in the four
+character planes of the order-4 algebra, where an interval matrix is four real
+matrices; its results are checked against the interval iteration within a
+measured rounding bound, not bit for bit, and it confirms its answer with
+``matmul``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Iterator, Sequence
 
-from .algebra import _ADD, AlgebraOrder, _check_count, _check_positive, _Record, alg_mul
+from .algebra import (
+    _ADD,
+    _COLLAPSE,
+    AlgebraOrder,
+    _chars,
+    _check_count,
+    _check_positive,
+    _from_chars,
+    _Record,
+    alg_mul,
+)
 from .errors import (
     ConvergenceError,
+    DivisionNotAllowedError,
+    DomainError,
     ModeMismatchError,
     OrderMismatchError,
     ShapeMismatchError,
@@ -274,6 +294,102 @@ def power_iterate(
     return PowerIterationResult(lam, u, tuple(trace))
 
 
+@functools.lru_cache(maxsize=64)
+def _plane_dot(n: int):
+    """The real dot product of two length-n sequences as one straight-line
+    function, compiled on the length's first use.
+
+    It is the left-to-right fold ``a0*b0 + a1*b1 + ...``, one rounding per
+    product and per addition in that order, so its results are the same on
+    every Python version; the builtin ``sum`` of floats is compensated from
+    3.12 on, and ``math.fsum`` and ``math.sumprod`` round differently too.
+    One statement per 16 terms, ``s = s + t + ...``, keeps the expressions
+    shallow for any n without changing the fold.
+    """
+    terms = [f"a{i} * b{i}" for i in range(n)]
+    chunks = [" + ".join(terms[k : k + 16]) for k in range(0, n, 16)]
+    source = "\n".join(
+        [
+            "def dot(a, b):",
+            "    " + "".join(f"a{i}, " for i in range(n)) + "= a",
+            "    " + "".join(f"b{i}, " for i in range(n)) + "= b",
+            f"    s = {chunks[0]}",
+            *(f"    s = s + {c}" for c in chunks[1:]),
+            "    return s",
+        ]
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<plane dot, length {n}>", "exec"), namespace)
+    return namespace["dot"]
+
+
+def _plane_matmul(a, b_cols, dot) -> list:
+    """The real matrix product of a (rows) and b (given by its columns)."""
+    return [[dot(row, col) for col in b_cols] for row in a]
+
+
+def _planes(rows) -> tuple:
+    """The four character planes of a square matrix given as rows of order-4
+    coefficient tuples: plane k is the real matrix of the entries' k-th
+    characters, as a tuple of rows."""
+    return tuple(zip(*(tuple(zip(*map(_chars, row))) for row in rows)))
+
+
+def _from_planes(planes) -> list:
+    """The rows of order-4 coefficient tuples whose character planes are planes."""
+    return [list(map(_from_chars, *rows)) for rows in zip(*planes)]
+
+
+def _identity_residual(rows) -> float:
+    """The largest |midpoint - identity entry| over a square matrix given as
+    rows of order-4 coefficient tuples.  An entry whose endpoints are NaN
+    (the iteration overflowed) raises DomainError."""
+    collapse = _COLLAPSE[AlgebraOrder.ORDER_4]
+    resid = 0.0
+    for i, row in enumerate(rows):
+        for j, coeffs in enumerate(row):
+            lo, hi = collapse(coeffs)
+            r = abs((lo + hi) / 2.0 - (1.0 if i == j else 0.0))
+            if r != r:
+                raise DomainError(
+                    f"matrix inversion overflowed: entry ({i}, {j}) of M X has no endpoints"
+                )
+            if r > resid:
+                resid = r
+    return resid
+
+
+def _coeff_rows(m: IntervalMatrix) -> list:
+    return [[x.coeffs for x in r] for r in m.rows]
+
+
+def _scaled_seed(m: IntervalMatrix) -> tuple[list, list, int]:
+    """M scaled by 2**-e and its seed, the scaled M^T / sum(M_ij^2), as rows
+    of coefficient tuples, and e.
+
+    2**-e brings the largest coefficient of M into [0.5, 1), so the sum of
+    squares neither overflows nor underflows, and the iteration runs on
+    numbers near the scaled inverse, 2**e M^-1.  Scaling by a power of two
+    is exact away from the subnormal range, so wherever the unscaled seed
+    and iteration stay in range they give the same bits.
+    """
+    mode, order = m.mode, m.order
+    e = math.frexp(max(abs(c) for r in m.rows for x in r for c in x.coeffs))[1]
+    scaled = IntervalMatrix(
+        [_number(mode, order, tuple(math.ldexp(c, -e) for c in x.coeffs)) for x in r]
+        for r in m.rows
+    )
+    try:
+        scale = interval(1.0, order=order, mode=mode) / frob_sq(scaled)
+    except DivisionNotAllowedError as err:
+        raise DivisionNotAllowedError(
+            "matrix is not invertible: the sum of its squared entries (scaled by "
+            f"2**{-2 * e}) is {format_interval(err.divisor.raw)}",
+            divisor=err.divisor,
+        ) from None
+    return _coeff_rows(scaled), _coeff_rows(transpose(scaled).scale(scale)), e
+
+
 def schulz_invert(
     m: IntervalMatrix,
     tol: float = 1e-12,
@@ -281,10 +397,21 @@ def schulz_invert(
 ) -> IntervalMatrix:
     """Quadratic inverse iteration X <- X (2I - M X), seeded with M^T / sum(M_ij^2).
 
-    Stops when every entry of M X has midpoint within ``tol`` of the identity.
-    Requires true arithmetic: the cancellation in 2I - M X is what keeps the
-    iteration contracting.  On failure the ConvergenceError carries the
-    residual of the last candidate X.
+    The iteration runs in the four character planes of the order-4 algebra,
+    where the product is componentwise: M, scaled by a power of two, and the
+    seed are mapped there once, each step is two real matrix products per
+    plane, and X is mapped back and scaled back at the end.  Its results
+    therefore obey the usual rounding-error bound of a real matrix product
+    rather than match the interval ``matmul`` bit for bit.
+
+    Each step's residual is the largest |midpoint - identity entry| of M X
+    mapped back from the planes.  Once that is below ``tol`` the candidate is
+    confirmed with ``matmul(m, x)``, the documented stop test: the returned X
+    always passes it, and a candidate that fails it iterates on.  Requires
+    true arithmetic: the cancellation in 2I - M X is what keeps the iteration
+    contracting.  On failure the ConvergenceError carries the residual of the
+    last candidate X.  A matrix whose inverse is too large for a float raises
+    DomainError.
     """
     nrows, ncols = m.shape
     if nrows != ncols:
@@ -295,21 +422,41 @@ def schulz_invert(
         raise ModeMismatchError("schulz_invert requires true arithmetic")
     _check_count("max_iter", max_iter)
     _check_positive("tol", tol, finite=False)
-    n = nrows
-    scale = interval(1.0, order=m.order, mode=m.mode) / frob_sq(m)
-    x = transpose(m).scale(scale)
-    two_i = identity_matrix(n, m.order, m.mode).scale(2.0)
+    mode, order = m.mode, m.order
+    m_rows, seed_rows, e = _scaled_seed(m)
+    m_planes, x_planes = _planes(m_rows), _planes(seed_rows)
+    dot = _plane_dot(nrows)
     resid = None
     for _ in range(max_iter):
-        p = matmul(m, x)
-        resid = max(
-            abs(p[i, j].midpoint - (1.0 if i == j else 0.0))
-            for i in range(n)
-            for j in range(n)
-        )
+        p_planes = [
+            _plane_matmul(mk, tuple(zip(*xk)), dot) for mk, xk in zip(m_planes, x_planes)
+        ]
+        resid = _identity_residual(_from_planes(p_planes))
         if resid < tol:
-            return x
-        x = matmul(x, two_i - p)
+            try:
+                x = IntervalMatrix(
+                    [_number(mode, order, tuple(math.ldexp(c, -e) for c in cs)) for cs in r]
+                    for r in _from_planes(x_planes)
+                )
+            except OverflowError:
+                raise DomainError(
+                    "the inverse of the matrix is too large for a float"
+                ) from None
+            resid = _identity_residual(_coeff_rows(matmul(m, x)))
+            if resid < tol:
+                return x
+        # the columns of 2I - P, which is 2 - P on the diagonal of every plane
+        x_planes = [
+            _plane_matmul(
+                xk,
+                [
+                    [(2.0 if i == j else 0.0) - v for i, v in enumerate(col)]
+                    for j, col in enumerate(zip(*pk))
+                ],
+                dot,
+            )
+            for xk, pk in zip(x_planes, p_planes)
+        ]
     raise ConvergenceError(
         f"matrix inversion did not reach tol={tol:g} after {max_iter} iterations "
         f"(last residual {resid:.3e})",

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from intalg import (
     AlgebraOrder,
+    ConvergenceError,
     DomainError,
     FdStyle,
     IntervalMatrix,
@@ -18,10 +19,14 @@ from intalg import (
     IterationRecord,
     alg_mul,
     dot,
+    frob_sq,
     generator_endpoints,
+    identity_matrix,
     interval,
+    matmul,
     matvec,
     structure_table,
+    transpose,
     two_norm,
 )
 from intalg.algebra import _Record
@@ -272,6 +277,34 @@ def reference_power_iterate(m, u0, iters: int):
         lam = dot(u, matvec(m, u)) / dot(u, u)
         trace.append(IterationRecord(k, lam.raw))
     return lam, u, tuple(trace)
+
+
+def reference_schulz_invert(m, tol: float = 1e-12, max_iter: int = 100):
+    """Schulz-Hotelling inversion as it iterated the interval matrices
+    themselves: X <- X (2I - M X), two ``matmul`` calls a step, stopping when
+    every entry of M X has midpoint within tol of the identity.
+
+    Kept as the oracle for ``schulz_invert``, which runs the same iteration
+    from the same seed in the four character planes: the values are the same
+    up to rounding, so the two agree within a measured ulp bound, not bit for
+    bit.  The argument checks are the library's and are left out here.
+    """
+    n = m.shape[0]
+    scale = interval(1.0, order=m.order, mode=m.mode) / frob_sq(m)
+    x = transpose(m).scale(scale)
+    two_i = identity_matrix(n, m.order, m.mode).scale(2.0)
+    resid = None
+    for _ in range(max_iter):
+        p = matmul(m, x)
+        resid = max(
+            abs(p[i, j].midpoint - (1.0 if i == j else 0.0))
+            for i in range(n)
+            for j in range(n)
+        )
+        if resid < tol:
+            return x
+        x = matmul(x, two_i - p)
+    raise ConvergenceError("matrix inversion did not converge", residual=resid)
 
 
 def reference_scalar(s: float, x: IntervalNumber) -> IntervalNumber:

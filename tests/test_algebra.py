@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import math
 import os
 import random
@@ -43,7 +44,7 @@ from intalg import (
     structure_table,
     to_split,
 )
-from intalg.algebra import _as_order
+from intalg.algebra import _as_order, _chars, _from_chars
 from intalg.interval import GeneralizedInterval, collapse, mink_mul
 
 ORDERS = (4, 5, 7)
@@ -358,6 +359,50 @@ def test_characters_turn_the_product_componentwise(order):
         assert all(a == int(a) for a in w.coeffs)
         for c in chars:
             assert chi(c, w) == chi(c, u) * chi(c, v)
+
+
+def _dyadic_elem(rng) -> AlgebraElement:
+    # multiples of 1/8 below 16 in magnitude: every float product, sum and
+    # halving of two of them, and of their characters, is exact
+    return AlgebraElement(4, [rng.randint(-127, 127) / 8 for _ in range(4)])
+
+
+def test_order_4_characters_are_those_of_the_structure_table():
+    # Brute force over {-1, 0, 1}: the maps with chi(e0) = 1 and
+    # chi(e_i) chi(e_j) = chi(e_T[i][j]) are exactly the four that
+    # schulz_invert iterates in, read off _chars on the generators.
+    table = structure_table(4)
+    found = {
+        w
+        for w in itertools.product((-1, 0, 1), repeat=4)
+        if w[0] == 1
+        and all(w[i] * w[j] == w[table[i][j]] for i in range(4) for j in range(4))
+    }
+    units = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    hard_coded = set(zip(*(_chars(e) for e in units)))
+    assert len(found) == 4 and found == hard_coded
+    assert hard_coded == set(CHARACTERS[4])
+
+
+def test_order_4_characters_multiply_componentwise_exactly():
+    rng = random.Random(71)
+    for _ in range(2000):
+        u, v = _dyadic_elem(rng), _dyadic_elem(rng)
+        w = alg_mul(u, v)
+        chi_u, chi_v = (_chars([Fraction(c) for c in x.coeffs]) for x in (u, v))
+        assert _chars([Fraction(c) for c in w.coeffs]) == tuple(
+            a * b for a, b in zip(chi_u, chi_v)
+        )
+
+
+def test_order_4_characters_invert_exactly():
+    rng = random.Random(72)
+    for _ in range(2000):
+        u = _dyadic_elem(rng)
+        exact = [Fraction(c) for c in u.coeffs]
+        assert _from_chars(*_chars(exact)) == tuple(exact)
+        # the float maps are exact on these inputs too, signed zeros aside
+        assert _from_chars(*_chars(u.coeffs)) == u.coeffs
 
 
 # -- inverse ------------------------------------------------------------------

@@ -399,6 +399,19 @@ def test_invert_identity(tmp_path, capsys):
     assert "[0.0,0.0][1.0,1.0]" in inverse_block
 
 
+@pytest.mark.parametrize("value", ("1e200", "1e-200"))
+def test_invert_matrix_whose_square_leaves_the_float_range(tmp_path, capsys, value):
+    # 1e200 squared overflows and 1e-200 squared underflows; both invert.
+    path = tmp_path / "m.txt"
+    path.write_text(f"[{value},{value}]\n")
+    code, out, err = run_cli(capsys, "invert", "--file", str(path))
+    assert code == 0 and err == ""
+    x, inverse = (f"{v:.12g}" for v in (float(value), 1 / float(value)))
+    assert f"Inverse matrix = [*\n[{inverse},{inverse}]\n*]" in out
+    assert "M*M^(-1)= [*\n[1.0,1.0]\n*]" in out
+    assert f"(M^(-1))^(-1)= [*\n[{x},{x}]\n*]" in out
+
+
 def test_matrix_file_shape_error(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("[1,1],[0,0]\n[0,0]\n")

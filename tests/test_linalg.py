@@ -10,12 +10,15 @@ from helpers import (
     draw_float,
     reference_matmul,
     reference_power_iterate,
+    reference_schulz_invert,
 )
 
 import intalg as ia
 from intalg import (
     ArithmeticMode,
     ConvergenceError,
+    DivisionNotAllowedError,
+    DomainError,
     IntervalMatrix,
     IntervalVector,
     ModeMismatchError,
@@ -34,6 +37,7 @@ from intalg import (
     transpose,
     two_norm,
 )
+from intalg.linalg import _plane_dot, _scaled_seed
 
 TRUE = ArithmeticMode.TRUE
 SEM = ArithmeticMode.SEMANTIC
@@ -574,6 +578,146 @@ def test_schulz_requires_true_mode_and_order4():
         schulz_invert(deg_matrix(M3, mode=SEM))
     with pytest.raises(UnsupportedOrderError):
         schulz_invert(deg_matrix(M3, order=5))
+
+
+def _dominant_matrix(rng, n, max_radius=0.01):
+    # diagonally dominant centres in [-1, 1] off the diagonal, as the
+    # benchmark draws them, each entry with its own radius
+    rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        d = sum(abs(v) for j, v in enumerate(row) if j != i) + rng.uniform(1.0, 1.5)
+        row[i] = d if rng.random() < 0.5 else -d
+    return IntervalMatrix(
+        [[interval(c, eps=rng.uniform(0.0, max_radius)) for c in row] for row in rows]
+    )
+
+
+def _stop_residual(m, x):
+    p = matmul(m, x)
+    n = m.shape[0]
+    return max(
+        abs(p[i, j].midpoint - (1.0 if i == j else 0.0)) for i in range(n) for j in range(n)
+    )
+
+
+# The plane iteration against the interval-matrix iteration it replaced:
+# over seeds 0-219, n = 1..12 and radii up to 0.01, the worst endpoint moved
+# 8.0 ulps of the largest endpoint of the task's inverse.
+SCHULZ_ULPS = 8
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_schulz_planes_match_the_kernel_iteration(seed):
+    rng = random.Random(seed)
+    for n in range(1, 13):
+        m = _dominant_matrix(rng, n)
+        got, want = schulz_invert(m), reference_schulz_invert(m)
+        ends = [(e.raw.lo, e.raw.hi) for r in want.rows for e in r]
+        tol = SCHULZ_ULPS * math.ulp(max(max(abs(lo), abs(hi)) for lo, hi in ends))
+        for e, (lo, hi) in zip((e for r in got.rows for e in r), ends):
+            assert abs(e.raw.lo - lo) <= tol and abs(e.raw.hi - hi) <= tol, (n, e, lo, hi)
+        assert _stop_residual(m, got) < 1e-12
+
+
+def test_schulz_of_a_point_matrix_has_zero_width():
+    # A point matrix has four equal character planes, so the planes iterate
+    # alike and map back to points exactly.
+    rng = random.Random(4)
+    for n in range(1, 13):
+        m = _dominant_matrix(rng, n, max_radius=0.0)
+        inv = schulz_invert(m)
+        assert all(e.raw.lo == e.raw.hi for r in inv.rows for e in r)
+        assert _stop_residual(m, inv) < 1e-12
+
+
+@pytest.mark.parametrize("tol", (1e-6, 1e-12, 1e-15))
+def test_schulz_result_passes_the_public_stop_test(tol):
+    rng = random.Random(5)
+    for n in (2, 7, 12):
+        m = _dominant_matrix(rng, n)
+        assert _stop_residual(m, schulz_invert(m, tol=tol)) < tol
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    (
+        (((0.0, 0.0), (0.0, 0.0)), DivisionNotAllowedError),
+        ((((-1.0, 1.0), (-2.0, 1.0)), ((0.0, 0.0), (-1.0, 3.0))), DivisionNotAllowedError),
+        (((1.0, 2.0), (2.0, 4.0)), ConvergenceError),
+    ),
+    ids=("zero", "zero-containing", "singular"),
+)
+def test_schulz_failures_keep_their_types(rows, error):
+    m = IntervalMatrix(
+        [[interval(*c) if isinstance(c, tuple) else interval(c) for c in r] for r in rows]
+    )
+    with pytest.raises(error) as got:
+        schulz_invert(m)
+    with pytest.raises(error) as want:
+        reference_schulz_invert(m)
+    if error is ConvergenceError:
+        assert close_ulps(got.value.residual, want.value.residual, 8)
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    (
+        (1e200,),
+        (1e-200,),
+        (1e160, 2e160),
+        (1e-160, 3e-160, 5e-161),
+        (1e-308,),
+        (1.5e308,),
+    ),
+)
+def test_schulz_inverts_matrices_whose_squares_leave_the_float_range(diagonal):
+    # The sum of squared entries overflows or underflows here, and the last
+    # two inverses are near the ends of the float range; the iteration runs
+    # on the matrix scaled by a power of two, so these invert, to the
+    # relative accuracy the stop test asks of each diagonal entry.
+    n = len(diagonal)
+    m = deg_matrix([[d if i == j else 0.0 for j in range(n)] for i, d in enumerate(diagonal)])
+    inv = schulz_invert(m)
+    for i in range(n):
+        for j in range(n):
+            c = inv[i, j].raw
+            want = 1.0 / diagonal[i] if i == j else 0.0
+            assert c.lo == c.hi and abs(c.lo - want) <= 1e-12 * abs(want), (i, j, c)
+    assert _stop_residual(m, inv) < 1e-12
+
+
+def test_schulz_seed_keeps_the_unscaled_bits():
+    # Scaling by a power of two is exact in the normal range, so the seed of
+    # the scaled matrix, scaled back, is bit for bit M^T / sum(M_ij^2).
+    rng = random.Random(6)
+    for n in (1, 3, 8):
+        for scale in (1.0, 2.0**-30, 3.0e40):
+            m = _dominant_matrix(rng, n).scale(scale)
+            want = transpose(m).scale(interval(1.0) / frob_sq(m))
+            _, seed, e = _scaled_seed(m)
+            assert [bits(math.ldexp(c, -e) for c in cs) for r in seed for cs in r] == [
+                bits(x.coeffs) for r in want.rows for x in r
+            ]
+
+
+@pytest.mark.parametrize("value", (1e-320, 1e-310, 5e-324))
+def test_schulz_unrepresentable_inverse_raises_domain_error(value):
+    with pytest.raises(DomainError, match="too large"):
+        schulz_invert(deg_matrix(((value,),)))
+
+
+def test_plane_dot_is_a_left_to_right_fold():
+    # (1e16 + 1) rounds back to 1e16, so the fold gives 0.0; a compensated
+    # sum (the builtin sum of floats from Python 3.12 on) gives 1.0.
+    assert _plane_dot(3)((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)) == 0.0
+    rng = random.Random(7)
+    for n in (1, 2, 15, 16, 17, 40):
+        a = [draw_float(rng) for _ in range(n)]
+        b = [draw_float(rng) for _ in range(n)]
+        want = a[0] * b[0]
+        for x, y in zip(a[1:], b[1:]):
+            want = want + x * y
+        assert bits((_plane_dot(n)(a, b),)) == bits((want,))
 
 
 # -- matrix text format ---------------------------------------------------------
