@@ -242,8 +242,14 @@ def _finite(pos: int, *values: float) -> tuple[float, ...]:
 
 
 def parse(text: str) -> ExprNode:
-    """Parse expression text into an AST or raise a positioned syntax error."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse expression text into an AST or raise a positioned syntax error,
+    also for nesting deeper than the interpreter's recursion limit allows."""
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse()
+    except RecursionError:
+        pos = parser.tokens[parser.i - 1][2]  # the last token read
+        raise ExprSyntaxError("expression nests too deeply", pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +309,7 @@ def evaluate(
     """Evaluate an AST through interval arithmetic, never collapsing midway.
 
     ``mode`` is an ArithmeticMode member or its value; anything else raises
-    ValueError.
+    ValueError.  A tree too deep for the recursion limit raises EvalError.
     """
     bindings = bindings or {}
     mode = _as_mode(mode)
@@ -321,7 +327,10 @@ def evaluate(
             raise EvalError(
                 f"binding {name!r} has order {int(value.order)}, expected {int(order)}"
             )
-    return _eval(node, bindings, mode, order)
+    try:
+        return _eval(node, bindings, mode, order)
+    except RecursionError:
+        raise EvalError("expression nests too deeply to evaluate") from None
 
 
 def _eval(node, bindings, mode, order) -> IntervalNumber:

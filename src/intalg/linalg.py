@@ -3,11 +3,11 @@
 All reductions run in a fixed left-to-right order so results are reproducible;
 nothing collapses to endpoints between operations.  ``matmul``, ``matvec``,
 ``dot`` and ``power_iterate`` run the algebra's product kernel, and their
-results are pinned bit for bit.  ``schulz_invert`` iterates in the four
-character planes of the order-4 algebra, where an interval matrix is four real
-matrices; its results are checked against the interval iteration within a
-measured rounding bound, not bit for bit, and it confirms its answer with
-``matmul``.
+results are pinned bit for bit.  ``schulz_invert`` forms its seed, iterates
+and takes each step's residual in the four character planes of the order-4
+algebra, where an interval matrix is four real matrices; its results are
+checked against the interval iteration within a measured rounding bound, not
+bit for bit, and the X it returns passes the ``matmul`` stop test.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 
 from .algebra import (
     _ADD,
-    _COLLAPSE,
     AlgebraOrder,
     _chars,
     _check_count,
@@ -335,59 +334,20 @@ def _planes(rows) -> tuple:
     return tuple(zip(*(tuple(zip(*map(_chars, row))) for row in rows)))
 
 
-def _from_planes(planes) -> list:
-    """The rows of order-4 coefficient tuples whose character planes are planes."""
-    return [list(map(_from_chars, *rows)) for rows in zip(*planes)]
-
-
 def _identity_residual(rows) -> float:
     """The largest |midpoint - identity entry| over a square matrix given as
-    rows of order-4 coefficient tuples.  An entry whose endpoints are NaN
-    (the iteration overflowed) raises DomainError."""
-    collapse = _COLLAPSE[AlgebraOrder.ORDER_4]
+    rows of midpoints.  A non-finite midpoint (the iteration overflowed)
+    raises DomainError."""
     resid = 0.0
     for i, row in enumerate(rows):
-        for j, coeffs in enumerate(row):
-            lo, hi = collapse(coeffs)
-            r = abs((lo + hi) / 2.0 - (1.0 if i == j else 0.0))
-            if r != r:
+        for j, mid in enumerate(row):
+            r = abs(mid - (1.0 if i == j else 0.0))
+            if not math.isfinite(r):
                 raise DomainError(
-                    f"matrix inversion overflowed: entry ({i}, {j}) of M X has no endpoints"
+                    f"matrix inversion overflowed: entry ({i}, {j}) of M X is not finite"
                 )
-            if r > resid:
-                resid = r
+            resid = max(resid, r)
     return resid
-
-
-def _coeff_rows(m: IntervalMatrix) -> list:
-    return [[x.coeffs for x in r] for r in m.rows]
-
-
-def _scaled_seed(m: IntervalMatrix) -> tuple[list, list, int]:
-    """M scaled by 2**-e and its seed, the scaled M^T / sum(M_ij^2), as rows
-    of coefficient tuples, and e.
-
-    2**-e brings the largest coefficient of M into [0.5, 1), so the sum of
-    squares neither overflows nor underflows, and the iteration runs on
-    numbers near the scaled inverse, 2**e M^-1.  Scaling by a power of two
-    is exact away from the subnormal range, so wherever the unscaled seed
-    and iteration stay in range they give the same bits.
-    """
-    mode, order = m.mode, m.order
-    e = math.frexp(max(abs(c) for r in m.rows for x in r for c in x.coeffs))[1]
-    scaled = IntervalMatrix(
-        [_number(mode, order, tuple(math.ldexp(c, -e) for c in x.coeffs)) for x in r]
-        for r in m.rows
-    )
-    try:
-        scale = interval(1.0, order=order, mode=mode) / frob_sq(scaled)
-    except DivisionNotAllowedError as err:
-        raise DivisionNotAllowedError(
-            "matrix is not invertible: the sum of its squared entries (scaled by "
-            f"2**{-2 * e}) is {format_interval(err.divisor.raw)}",
-            divisor=err.divisor,
-        ) from None
-    return _coeff_rows(scaled), _coeff_rows(transpose(scaled).scale(scale)), e
 
 
 def schulz_invert(
@@ -398,17 +358,18 @@ def schulz_invert(
     """Quadratic inverse iteration X <- X (2I - M X), seeded with M^T / sum(M_ij^2).
 
     The iteration runs in the four character planes of the order-4 algebra,
-    where the product is componentwise: M, scaled by a power of two, and the
-    seed are mapped there once, each step is two real matrix products per
-    plane, and X is mapped back and scaled back at the end.  Its results
-    therefore obey the usual rounding-error bound of a real matrix product
-    rather than match the interval ``matmul`` bit for bit.
+    where the product is componentwise.  M, scaled by 2**-e so that its
+    largest coefficient lies in [0.5, 1), is mapped there once; plane k of the
+    seed divides by that plane's sum of squares; each step is two real matrix
+    products per plane, and its residual, the largest |midpoint - identity
+    entry| of M X, is read off planes 1 and 3, whose half sum is the order-4
+    midpoint.  Results obey the rounding-error bound of a real matrix
+    product, not the interval bits.
 
-    Each step's residual is the largest |midpoint - identity entry| of M X
-    mapped back from the planes.  Once that is below ``tol`` the candidate is
-    confirmed with ``matmul(m, x)``, the documented stop test: the returned X
-    always passes it, and a candidate that fails it iterates on.  Requires
-    true arithmetic: the cancellation in 2I - M X is what keeps the iteration
+    Below ``tol``, X is mapped back, scaled back and confirmed with
+    ``matmul(m, x)``, the documented stop test: the returned X always passes
+    it, and a candidate that fails it iterates on.  Requires true
+    arithmetic: the cancellation in 2I - M X is what keeps the iteration
     contracting.  On failure the ConvergenceError carries the residual of the
     last candidate X.  A matrix whose inverse is too large for a float raises
     DomainError.
@@ -423,26 +384,39 @@ def schulz_invert(
     _check_count("max_iter", max_iter)
     _check_positive("tol", tol, finite=False)
     mode, order = m.mode, m.order
-    m_rows, seed_rows, e = _scaled_seed(m)
-    m_planes, x_planes = _planes(m_rows), _planes(seed_rows)
+    e = math.frexp(max(abs(c) for r in m.rows for x in r for c in x.coeffs))[1]
+    scaled = ([tuple(math.ldexp(c, -e) for c in x.coeffs) for x in r] for r in m.rows)
+    m_planes = _planes(scaled)
+    flats = [[v for row in mk for v in row] for mk in m_planes]
+    sums = [_plane_dot(nrows * nrows)(flat, flat) for flat in flats]
+    if 0.0 in sums:
+        divisor = _number(mode, order, _from_chars(*sums))
+        raise DivisionNotAllowedError(
+            "matrix is not invertible: the sum of its squared entries (scaled by "
+            f"2**{-2 * e}) is {format_interval(divisor.raw)}",
+            divisor=divisor,
+        )
+    x_planes = [[[v / s for v in col] for col in zip(*mk)] for mk, s in zip(m_planes, sums)]
     dot = _plane_dot(nrows)
     resid = None
     for _ in range(max_iter):
         p_planes = [
             _plane_matmul(mk, tuple(zip(*xk)), dot) for mk, xk in zip(m_planes, x_planes)
         ]
-        resid = _identity_residual(_from_planes(p_planes))
+        resid = _identity_residual(
+            [[(a + b) / 2 for a, b in zip(*rows)] for rows in zip(p_planes[0], p_planes[2])]
+        )
         if resid < tol:
-            try:
+            try:  # map X back out of the planes and scale it back by 2**-e
                 x = IntervalMatrix(
                     [_number(mode, order, tuple(math.ldexp(c, -e) for c in cs)) for cs in r]
-                    for r in _from_planes(x_planes)
+                    for r in (map(_from_chars, *rows) for rows in zip(*x_planes))
                 )
             except OverflowError:
                 raise DomainError(
                     "the inverse of the matrix is too large for a float"
                 ) from None
-            resid = _identity_residual(_coeff_rows(matmul(m, x)))
+            resid = _identity_residual([[y.midpoint for y in r] for r in matmul(m, x).rows])
             if resid < tol:
                 return x
         # the columns of 2I - P, which is 2 - P on the diagonal of every plane

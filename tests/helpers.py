@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import struct
 import sys
@@ -25,6 +26,7 @@ from intalg import (
     interval,
     matmul,
     matvec,
+    schulz_invert,
     structure_table,
     transpose,
     two_norm,
@@ -305,6 +307,36 @@ def reference_schulz_invert(m, tol: float = 1e-12, max_iter: int = 100):
             return x
         x = matmul(x, two_i - p)
     raise ConvergenceError("matrix inversion did not converge", residual=resid)
+
+
+def dominant_matrix(rng, n: int, max_radius: float = 0.01) -> IntervalMatrix:
+    """A diagonally dominant interval matrix: centres in [-1, 1] off the
+    diagonal, as the benchmark draws them, each entry with its own radius."""
+    rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        d = sum(abs(v) for j, v in enumerate(row) if j != i) + rng.uniform(1.0, 1.5)
+        row[i] = d if rng.random() < 0.5 else -d
+    return IntervalMatrix(
+        [[interval(c, eps=rng.uniform(0.0, max_radius)) for c in row] for row in rows]
+    )
+
+
+def schulz_worst_ulps(seeds, sizes) -> float:
+    """The largest distance of an endpoint of ``schulz_invert`` from that of
+    ``reference_schulz_invert``, in ulps of the task's largest reference
+    endpoint, over one ``dominant_matrix`` per size drawn from each seed's
+    ``random.Random``."""
+    worst = 0.0
+    for seed in seeds:
+        rng = random.Random(seed)
+        for n in sizes:
+            m = dominant_matrix(rng, n)
+            got, want = schulz_invert(m), reference_schulz_invert(m)
+            ends = [(e.raw.lo, e.raw.hi) for r in want.rows for e in r]
+            unit = math.ulp(max(max(abs(lo), abs(hi)) for lo, hi in ends))
+            for e, (lo, hi) in zip((e for r in got.rows for e in r), ends):
+                worst = max(worst, abs(e.raw.lo - lo) / unit, abs(e.raw.hi - hi) / unit)
+    return worst
 
 
 def reference_scalar(s: float, x: IntervalNumber) -> IntervalNumber:

@@ -403,6 +403,9 @@ def test_order_4_characters_invert_exactly():
         assert _from_chars(*_chars(exact)) == tuple(exact)
         # the float maps are exact on these inputs too, signed zeros aside
         assert _from_chars(*_chars(u.coeffs)) == u.coeffs
+        # an order-4 midpoint is half the sum of the first and third characters
+        chi = _chars(exact)
+        assert Fraction(collapse(u).midpoint) == (chi[0] + chi[2]) / 2
 
 
 # -- inverse ------------------------------------------------------------------

@@ -153,6 +153,22 @@ def test_calc_parse_error_position(capsys):
     assert "position 3" in err
 
 
+@pytest.mark.parametrize(
+    "expr",
+    (
+        "(" * 5000 + "x" + ")" * 5000,
+        "-" * 5000 + "x",
+        "+".join(["x"] * 5000),
+        "sqrt(" * 3000 + "x" + ")" * 3000,
+    ),
+    ids=("parentheses", "unary-minus", "sum", "sqrt"),
+)
+def test_calc_deep_expression_exits_2(capsys, expr):
+    code, out, err = run_cli(capsys, "calc", "--let", "x=[1,2]", "--", expr)
+    assert code == 2
+    assert out == "" and "nests too deeply" in err and "Traceback" not in err
+
+
 def test_calc_higher_order(capsys):
     code, out, _ = run_cli(
         capsys, "calc", "--order", "7", "--let", "x=[-2,3]", "--let", "y=[-4,2]", "x*y"

@@ -363,3 +363,27 @@ def test_non_finite_literal_is_a_syntax_error(text, position):
         parse(text)
     assert "literal is not finite" in str(exc.value)
     assert exc.value.position == position
+
+
+# Far deeper than the default recursion limit of 1000: nesting fails typed,
+# at a position that depends on the limit, so none is pinned.
+DEEP_NESTING = {
+    "parentheses": "(" * 5000 + "x" + ")" * 5000,
+    "unary-minus": "-" * 5000 + "x",
+    "sqrt": "sqrt(" * 3000 + "x" + ")" * 3000,
+}
+DEEP_SUM = "+".join(["x"] * 5000)
+
+
+@pytest.mark.parametrize("text", DEEP_NESTING.values(), ids=DEEP_NESTING)
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="nests too deeply") as exc:
+        parse(text)
+    assert 1 <= exc.value.position <= len(text)
+
+
+def test_deep_tree_is_an_eval_error():
+    # a flat sum parses in a loop but is a left-leaning tree 4999 levels deep
+    ast = parse(DEEP_SUM)
+    with pytest.raises(EvalError, match="nests too deeply"):
+        evaluate(ast, {"x": interval(1.0, 2.0)})
