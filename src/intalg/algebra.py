@@ -14,7 +14,8 @@ table; sum, difference, negation and scaling coefficientwise; and collapse
 to endpoints from the generator intervals.  Float addition does not associate,
 so the kernels' order of operations is part of the results the tests pin bit
 for bit: change the schedule or the generator and those results change with
-it.
+it.  ``_compile`` compiles all generated code: these kernels, the records'
+``__init__`` and ``_make``, and linalg's plane dots.
 """
 
 from __future__ import annotations
@@ -48,13 +49,15 @@ class _Record:
     A subclass names its fields with class annotations, in order, and gets
     what a frozen dataclass gives: equality and hashing over the field values
     (only against the same class), a ``Name(field=value, ...)`` repr, and
-    assignment and deletion that raise AttributeError.  A subclass that does
-    not define ``__init__`` gets a generated one taking the fields in order,
-    with class-attribute values as defaults, that calls ``__post_init__``
-    when the class defines one.  Pickling and copying call the class on the
-    field values, since the default would restore them by assignment.
-    The base has no slots of its own, so a subclass that declares
-    ``__slots__`` has no instance ``__dict__``.
+    assignment and deletion that raise AttributeError.  One that declares
+    ``__slots__`` has no instance ``__dict__`` (the base has no slots) and gets
+    ``_make(*fields)``, its one builder, which trusts its arguments and sets a
+    slot that is not a field to None; its public constructor is a ``__new__``
+    that checks and converts them and returns ``_make(...)``.  One that
+    defines neither ``__init__`` nor ``__new__`` gets a generated ``__init__``
+    taking the fields in order, class-attribute values as defaults, that calls
+    ``__post_init__`` if the class defines one.  Pickling and copying call the
+    class on the field values; the default would restore them by assignment.
     """
 
     __slots__ = ()
@@ -63,7 +66,9 @@ class _Record:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)
-        if "__init__" not in cls.__dict__:
+        if "__slots__" in cls.__dict__:
+            cls._make = staticmethod(_slot_make(cls))
+        if "__init__" not in cls.__dict__ and "__new__" not in cls.__dict__:
             cls.__init__ = _field_init(cls)
 
     def _values(self) -> tuple:
@@ -91,13 +96,24 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r} of an immutable value")
 
 
-def _field_init(cls):
-    """The generated ``__init__`` of a record class.
+def _compile(source: str, label: str, **names) -> dict:
+    """Run generated source with ``names`` as its globals, and return them with
+    the functions it defined; label is the file name their code reports."""
+    exec(compile(source, label, "exec"), names)
+    return names
 
-    Storing each field by name with ``object.__setattr__`` keeps CPython's
-    compact instance layout, so field reads stay fast, and a constructor
-    with literal names runs faster than a loop over ``_fields``.
-    """
+
+def _generated(cls, name: str, source: str, **names):
+    """The function name defined by source, compiled for record class cls."""
+    fn = _compile(source, f"<{cls.__qualname__}.{name}>", **names)[name]
+    fn.__qualname__ = f"{cls.__qualname__}.{name}"
+    return fn
+
+
+def _field_init(cls):
+    """The generated ``__init__`` of a record class.  Storing each field by
+    name with ``object.__setattr__`` keeps CPython's compact instance layout,
+    so field reads stay fast, and literal names beat a loop over ``_fields``."""
     names = cls._fields
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
@@ -105,16 +121,17 @@ def _field_init(cls):
     if "__post_init__" in cls.__dict__:
         body.append("    self.__post_init__()")
     source = "\n".join([f"def __init__(self, {params}):", *body])
-    namespace = {"_set": object.__setattr__, "_defaults": defaults}
-    exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    return _generated(cls, "__init__", source, _set=object.__setattr__, _defaults=defaults)
 
 
-def _slot_setters(cls) -> tuple:
-    """The setters of cls's own slots, in order, which bypass the refused assignment."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+def _slot_make(cls):
+    """The generated ``_make`` of a slotted record class, which stores each
+    slot through its setter: the refused assignment is bypassed here."""
+    setters = {f"_set_{n}": cls.__dict__[n].__set__ for n in cls.__slots__}
+    stores = [f"    _set_{n}(self, {n if n in cls._fields else None})" for n in cls.__slots__]
+    head = [f"def _make({', '.join(cls._fields)}):", "    self = _new(_cls)"]
+    source = "\n".join([*head, *stores, "    return self"])
+    return _generated(cls, "_make", source, _new=object.__new__, _cls=cls, **setters)
 
 
 def _check_count(name: str, value) -> None:
@@ -267,9 +284,7 @@ def _first_use(name: str, order: AlgebraOrder):
 
     def kernel(*args):
         if _KERNELS[name][order] is kernel:
-            source = _kernel_source(order)
-            namespace: dict = {}
-            exec(compile(source, f"<kernels, order {int(order)}>", "exec"), namespace)
+            namespace = _compile(_kernel_source(order), f"<kernels, order {int(order)}>")
             for other, table in _KERNELS.items():
                 table[order] = namespace[other]
         return _KERNELS[name][order](*args)
@@ -305,15 +320,14 @@ class AlgebraElement(_Record):
     order: AlgebraOrder
     coeffs: tuple[float, ...]
 
-    def __init__(self, order: int | AlgebraOrder, coeffs) -> None:
+    def __new__(cls, order: int | AlgebraOrder, coeffs) -> "AlgebraElement":
         order = _as_order(order)
         coeffs = tuple(float(c) for c in coeffs)
         if len(coeffs) != int(order):
             raise ValueError(
                 f"expected {int(order)} coefficients, got {len(coeffs)}"
             )
-        _set_order(self, order)
-        _set_coeffs(self, coeffs)
+        return _element(order, coeffs)
 
     @classmethod
     def zero(cls, order: int | AlgebraOrder) -> "AlgebraElement":
@@ -344,17 +358,7 @@ class AlgebraElement(_Record):
         return _element(self.order, _SCALE[self.order](self.coeffs, factor))
 
 
-_new = object.__new__  # bound once: every operation's result is built here
-_set_order, _set_coeffs = _slot_setters(AlgebraElement)
-
-
-def _element(order: AlgebraOrder, coeffs: tuple[float, ...]) -> AlgebraElement:
-    """Build an element from an AlgebraOrder member and a tuple of floats of
-    its length, skipping the public constructor's conversion and checks."""
-    element = _new(AlgebraElement)
-    _set_order(element, order)
-    _set_coeffs(element, coeffs)
-    return element
+_element = AlgebraElement._make  # every result: an AlgebraOrder and floats, unchecked
 
 
 def _check_orders(u: AlgebraElement, v: AlgebraElement) -> None:

@@ -272,6 +272,14 @@ def _wrap(text: str, need: bool) -> str:
 
 
 def unparse(node: ExprNode) -> str:
+    """Text that parses back to an equal tree; a tree too deep to print raises EvalError."""
+    try:
+        return _unparse(node)
+    except RecursionError:
+        raise EvalError("expression nests too deeply to print") from None
+
+
+def _unparse(node: ExprNode) -> str:
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, IntervalLit):
@@ -279,19 +287,19 @@ def unparse(node: ExprNode) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        inner = unparse(node.operand)
+        inner = _unparse(node.operand)
         return "-" + _wrap(inner, _prec(node.operand) < _PREC_NEG)
     if isinstance(node, Power):
-        base = unparse(node.base)
+        base = _unparse(node.base)
         return _wrap(base, _prec(node.base) < _PREC_ATOM) + f"^{node.exponent}"
     if isinstance(node, Call):
-        return f"{node.func}({unparse(node.arg)})"
+        return f"{node.func}({_unparse(node.arg)})"
     if isinstance(node, BinOp):
         my = _prec(node)
-        left = _wrap(unparse(node.left), _prec(node.left) < my)
+        left = _wrap(_unparse(node.left), _prec(node.left) < my)
         # the grammar is left associative, so a right operand of equal
         # precedence must keep its parentheses to reparse to the same tree
-        right = _wrap(unparse(node.right), _prec(node.right) <= my)
+        right = _wrap(_unparse(node.right), _prec(node.right) <= my)
         return f"{left}{node.op}{right}"
     raise TypeError(f"not an expression node: {node!r}")
 

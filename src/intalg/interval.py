@@ -11,9 +11,9 @@ a cached endpoint pair.  Its operators run the order's generated kernels
 straight to the coefficients of its point interval, and the
 ``AlgebraElement`` view is built only when asked for.  One dispatch,
 ``_embed_coeffs``, turns endpoint pairs into coefficient tuples for ``embed``,
-the lifted functions and semantic negation alike, and ``collapse`` fills the
-slots of its ``GeneralizedInterval`` directly, so the hot paths build no
-element and convert no float twice.
+the lifted functions and semantic negation alike, and ``collapse`` builds its
+``GeneralizedInterval`` with the record's trusted ``_make``, so the hot paths
+build no element and convert no float twice.
 
 Two subtraction semantics coexist:
 
@@ -47,9 +47,7 @@ from .algebra import (
     _as_order,
     _check_real,
     _element,
-    _new,
     _Record,
-    _slot_setters,
     alg_inv,
 )
 from .errors import (
@@ -104,17 +102,16 @@ class GeneralizedInterval(_Record):
 
     The endpoints live in the slots ``lo`` and ``hi``, with no instance
     ``__dict__``.  The public constructor converts both to float;
-    ``collapse``, whose kernel already returns floats, fills the slots
-    through their setters instead.
+    ``collapse`` and ``canonical``, which hold floats already, build through
+    ``_make`` instead.
     """
 
     __slots__ = ("lo", "hi")
     lo: float
     hi: float
 
-    def __init__(self, lo: float, hi: float) -> None:
-        _set_lo(self, float(lo))
-        _set_hi(self, float(hi))
+    def __new__(cls, lo: float, hi: float) -> "GeneralizedInterval":
+        return _pair(float(lo), float(hi))
 
     @property
     def is_proper(self) -> bool:
@@ -124,7 +121,7 @@ class GeneralizedInterval(_Record):
     def canonical(self) -> "GeneralizedInterval":
         if self.lo <= self.hi:
             return self
-        return GeneralizedInterval(self.hi, self.lo)
+        return _pair(self.hi, self.lo)
 
     @property
     def width(self) -> float:
@@ -142,7 +139,7 @@ class GeneralizedInterval(_Record):
         return format_interval(self)
 
 
-_set_lo, _set_hi = _slot_setters(GeneralizedInterval)
+_pair = GeneralizedInterval._make
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +158,7 @@ def collapse(element: AlgebraElement) -> GeneralizedInterval:
             f"element {element.coeffs!r} of order {int(element.order)} has no "
             f"endpoints: its collapse ({lo!r}, {hi!r}) is NaN"
         )
-    pair = _new(GeneralizedInterval)  # the kernel's endpoints are floats already
-    _set_lo(pair, lo)
-    _set_hi(pair, hi)
-    return pair
+    return _pair(lo, hi)  # the kernel's endpoints are floats already
 
 
 def _neighbors(value: float) -> tuple[float, ...]:
@@ -336,11 +330,8 @@ class IntervalNumber(_Record):
     order: AlgebraOrder
     coeffs: tuple[float, ...]
 
-    def __init__(self, mode: ArithmeticMode | str, element: AlgebraElement) -> None:
-        _set_mode(self, _as_mode(mode))
-        _set_order(self, element.order)
-        _set_coeffs(self, element.coeffs)
-        _set_raw(self, None)
+    def __new__(cls, mode: ArithmeticMode | str, element: AlgebraElement) -> "IntervalNumber":
+        return _number(_as_mode(mode), element.order, element.coeffs)
 
     def __reduce__(self):
         # The public constructor takes an element, not the fields.
@@ -529,20 +520,8 @@ class IntervalNumber(_Record):
         return a.lo <= b.lo and b.hi <= a.hi
 
 
-_set_mode, _set_order, _set_coeffs, _set_raw = _slot_setters(IntervalNumber)
-
-
-def _number(
-    mode: ArithmeticMode, order: AlgebraOrder, coeffs: tuple[float, ...]
-) -> IntervalNumber:
-    """Build an interval number from a mode, an AlgebraOrder member and a
-    tuple of floats of its length: every operation's result is built here."""
-    x = _new(IntervalNumber)
-    _set_mode(x, mode)
-    _set_order(x, order)
-    _set_coeffs(x, coeffs)
-    _set_raw(x, None)
-    return x
+_number = IntervalNumber._make  # every result: a mode, an AlgebraOrder and floats
+_set_raw = IntervalNumber.__dict__["_raw"].__set__
 
 
 def _negated(x: IntervalNumber) -> tuple[float, ...]:

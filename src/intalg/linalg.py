@@ -22,6 +22,7 @@ from .algebra import (
     _chars,
     _check_count,
     _check_positive,
+    _compile,
     _from_chars,
     _Record,
     alg_mul,
@@ -317,9 +318,7 @@ def _plane_dot(n: int):
             "    return s",
         ]
     )
-    namespace: dict = {}
-    exec(compile(source, f"<plane dot, length {n}>", "exec"), namespace)
-    return namespace["dot"]
+    return _compile(source, f"<plane dot, length {n}>")["dot"]
 
 
 def _plane_matmul(a, b_cols, dot) -> list:

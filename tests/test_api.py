@@ -115,3 +115,31 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _builtin_calls(node, owner=None):
+    """(innermost enclosing function's name or None, builtin) for each call
+    of the builtin exec or compile under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _builtin_calls(child, child.name)
+            continue
+        func = getattr(child, "func", None)
+        if isinstance(child, ast.Call) and isinstance(func, ast.Name):
+            if func.id in ("exec", "compile"):
+                yield owner, func.id
+        yield from _builtin_calls(child, owner)
+
+
+def test_generated_code_is_compiled_in_one_place():
+    # Every generated function goes through algebra._compile; re.compile is
+    # an attribute call, not the builtin, and does not count.
+    calls = [
+        (path.name, *call)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for call in _builtin_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(calls) == [
+        ("algebra.py", "_compile", "compile"),
+        ("algebra.py", "_compile", "exec"),
+    ]

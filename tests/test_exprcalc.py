@@ -385,5 +385,7 @@ def test_deep_nesting_is_a_syntax_error(text):
 def test_deep_tree_is_an_eval_error():
     # a flat sum parses in a loop but is a left-leaning tree 4999 levels deep
     ast = parse(DEEP_SUM)
-    with pytest.raises(EvalError, match="nests too deeply"):
+    with pytest.raises(EvalError, match="nests too deeply to evaluate"):
         evaluate(ast, {"x": interval(1.0, 2.0)})
+    with pytest.raises(EvalError, match="nests too deeply to print"):
+        unparse(ast)

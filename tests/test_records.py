@@ -217,3 +217,66 @@ def test_interval_number_is_one_slotted_object(read_raw):
         assert x.raw is x.raw
         assert x.element == AlgebraElement(x.order, x.coeffs)
         assert not hasattr(x.element, "__dict__")
+
+
+# (slotted record, its fields for _make, the same value's public constructor
+# arguments)
+SLOTTED = [
+    (
+        AlgebraElement,
+        (AlgebraOrder.ORDER_4, (1.0, -0.0, 5e-324, 4.0)),
+        (4, [1, -0.0, 5e-324, 4]),
+    ),
+    (GeneralizedInterval, (2.0, -1.5), (2, -1.5)),
+    (
+        ia.IntervalNumber,
+        (ia.ArithmeticMode.SEMANTIC, AlgebraOrder.ORDER_5, (0.0, 1.0, 0.0, 0.0, 2.0)),
+        ("semantic", AlgebraElement(5, (0, 1, 0, 0, 2))),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, args", SLOTTED, ids=[s[0].__name__ for s in SLOTTED])
+def test_make_builds_the_slotted_record_the_constructor_builds(cls, fields, args):
+    made, built = cls._make(*fields), cls(*args)
+    assert type(made) is cls and not hasattr(made, "__dict__")
+    assert made == built and made._values() == built._values() == fields
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(made._values()) == repr(built._values()) == repr(fields)
+    assert cls._make.__code__.co_filename == f"<{cls.__name__}._make>"
+    assert "__init__" not in cls.__dict__ and "__new__" in cls.__dict__
+
+
+def test_make_leaves_the_collapse_cache_empty():
+    coeffs = (1.0, 1.0, 0.0, 0.0)
+    x = ia.IntervalNumber._make(ia.ArithmeticMode.TRUE, AlgebraOrder.ORDER_4, coeffs)
+    assert x._raw is None
+    assert x.raw == GeneralizedInterval(1.0, 2.0) and x._raw is x.raw
+
+
+def test_only_slotted_records_have_make():
+    for cls in (IterationRecord, Num, OptimizerConfig):
+        assert not hasattr(cls, "_make") and "__init__" in cls.__dict__
+
+
+def test_public_constructors_still_convert_and_check():
+    assert type(GeneralizedInterval(1, 2).lo) is float
+    assert type(GeneralizedInterval(1, 2).hi) is float
+    element = AlgebraElement(4.0, (1, 2, 3, 4))
+    assert type(element.order) is AlgebraOrder and element.coeffs == (1.0, 2.0, 3.0, 4.0)
+    assert all(type(c) is float for c in element.coeffs)
+    with pytest.raises(ValueError, match="expected 4 coefficients, got 3"):
+        AlgebraElement(4, (1, 2, 3))
+    with pytest.raises(ValueError):
+        ia.IntervalNumber("exact", AlgebraElement.unit(4))
+    assert ia.IntervalNumber("true", AlgebraElement.unit(4)).mode is ia.ArithmeticMode.TRUE
+
+
+def test_generated_code_keeps_its_labels():
+    from intalg import linalg
+
+    assert linalg._plane_dot(3).__code__.co_filename == "<plane dot, length 3>"
+    assert linalg._plane_dot(3)((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)) == 32.0
+    assert IterationRecord.__init__.__code__.co_filename == "<IterationRecord.__init__>"
+    assert IterationRecord.__init__.__qualname__ == "IterationRecord.__init__"
+    assert GeneralizedInterval._make.__qualname__ == "GeneralizedInterval._make"
