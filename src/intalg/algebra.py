@@ -15,7 +15,7 @@ to endpoints from the generator intervals.  Float addition does not associate,
 so the kernels' order of operations is part of the results the tests pin bit
 for bit: change the schedule or the generator and those results change with
 it.  ``_compile`` compiles all generated code: these kernels, the records'
-``__init__`` and ``_make``, and linalg's plane dots.
+``__init__`` and ``_make``, and linalg's plane products.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _field_init(cls):
     body = [f"    _set(self, {n!r}, {n})" for n in names]
     if "__post_init__" in cls.__dict__:
         body.append("    self.__post_init__()")
-    source = "\n".join([f"def __init__(self, {params}):", *body])
+    source = "\n".join([f"def __init__(self, {params}):", *(body or ["    pass"])])
     return _generated(cls, "__init__", source, _set=object.__setattr__, _defaults=defaults)
 
 

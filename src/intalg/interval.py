@@ -331,6 +331,8 @@ class IntervalNumber(_Record):
     coeffs: tuple[float, ...]
 
     def __new__(cls, mode: ArithmeticMode | str, element: AlgebraElement) -> "IntervalNumber":
+        if not isinstance(element, AlgebraElement):
+            raise TypeError(f"expected an AlgebraElement, not {type(element).__name__}")
         return _number(_as_mode(mode), element.order, element.coeffs)
 
     def __reduce__(self):

@@ -5,15 +5,18 @@ nothing collapses to endpoints between operations.  ``matmul``, ``matvec``,
 ``dot`` and ``power_iterate`` run the algebra's product kernel, and their
 results are pinned bit for bit.  ``schulz_invert`` forms its seed, iterates
 and takes each step's residual in the four character planes of the order-4
-algebra, where an interval matrix is four real matrices; its results are
-checked against the interval iteration within a measured rounding bound, not
-bit for bit, and the X it returns passes the ``matmul`` stop test.
+algebra, where an interval matrix is four real matrices, multiplied by one
+generated product kernel per size; its results are checked against the
+interval iteration within a measured rounding bound, and the X it returns
+passes the ``matmul`` stop test.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import repeat
+from operator import add, sub, truediv
 from typing import Iterator, Sequence
 
 from .algebra import (
@@ -295,35 +298,37 @@ def power_iterate(
 
 
 @functools.lru_cache(maxsize=64)
-def _plane_dot(n: int):
-    """The real dot product of two length-n sequences as one straight-line
-    function, compiled on the length's first use.
+def _plane_product(n: int):
+    """The real matrix product for rows and columns of length n, compiled on
+    the length's first use: ``product(rows, cols)`` is the list of rows
+    ``[[dot(row, col) for col in cols] for row in rows]``.
 
-    It is the left-to-right fold ``a0*b0 + a1*b1 + ...``, one rounding per
-    product and per addition in that order, so its results are the same on
+    Each entry is the left-to-right fold ``a0*b0 + a1*b1 + ...``, one rounding
+    per product and per addition in that order, so its results are the same on
     every Python version; the builtin ``sum`` of floats is compensated from
     3.12 on, and ``math.fsum`` and ``math.sumprod`` round differently too.
-    One statement per 16 terms, ``s = s + t + ...``, keeps the expressions
-    shallow for any n without changing the fold.
+    Each row is unpacked into locals once, and the loop over the columns is
+    generated statements, not a call per entry.  One statement per 16 terms,
+    ``s = s + t + ...``, keeps the expressions shallow and the source linear
+    in n without changing the fold.
     """
     terms = [f"a{i} * b{i}" for i in range(n)]
     chunks = [" + ".join(terms[k : k + 16]) for k in range(0, n, 16)]
     source = "\n".join(
         [
-            "def dot(a, b):",
-            "    " + "".join(f"a{i}, " for i in range(n)) + "= a",
-            "    " + "".join(f"b{i}, " for i in range(n)) + "= b",
-            f"    s = {chunks[0]}",
-            *(f"    s = s + {c}" for c in chunks[1:]),
-            "    return s",
+            "def product(rows, cols):",
+            "    out = []",
+            "    for " + "".join(f"a{i}, " for i in range(n)) + "in rows:",
+            "        row = []",
+            "        for " + "".join(f"b{i}, " for i in range(n)) + "in cols:",
+            f"            s = {chunks[0]}",
+            *(f"            s = s + {c}" for c in chunks[1:]),
+            "            row.append(s)",
+            "        out.append(row)",
+            "    return out",
         ]
     )
-    return _compile(source, f"<plane dot, length {n}>")["dot"]
-
-
-def _plane_matmul(a, b_cols, dot) -> list:
-    """The real matrix product of a (rows) and b (given by its columns)."""
-    return [[dot(row, col) for col in b_cols] for row in a]
+    return _compile(source, f"<plane product, length {n}>")["product"]
 
 
 def _planes(rows) -> tuple:
@@ -335,18 +340,30 @@ def _planes(rows) -> tuple:
 
 def _identity_residual(rows) -> float:
     """The largest |midpoint - identity entry| over a square matrix given as
-    rows of midpoints.  A non-finite midpoint (the iteration overflowed)
-    raises DomainError."""
-    resid = 0.0
+    rows of midpoints, given as lists that it changes.  A non-finite midpoint
+    (the iteration overflowed) raises DomainError naming the first one."""
     for i, row in enumerate(rows):
-        for j, mid in enumerate(row):
-            r = abs(mid - (1.0 if i == j else 0.0))
-            if not math.isfinite(r):
-                raise DomainError(
-                    f"matrix inversion overflowed: entry ({i}, {j}) of M X is not finite"
-                )
-            resid = max(resid, r)
-    return resid
+        row[i] -= 1.0
+    dists = [list(map(abs, row)) for row in rows]
+    # A sum of distances is finite unless one of them is, or they overflow
+    # together; only then are they read one by one.
+    if not math.isfinite(sum(map(sum, dists))):
+        for i, row in enumerate(dists):
+            for j, r in enumerate(row):
+                if not math.isfinite(r):
+                    raise DomainError(
+                        f"matrix inversion overflowed: entry ({i}, {j}) of M X is not finite"
+                    )
+    return max(map(max, dists))
+
+
+def _two_i_minus(p) -> list:
+    """The columns of 2I - P for a square real matrix P given as rows.  Off
+    the diagonal an entry is 0.0 - v, which, unlike -v, is +0.0 for a zero."""
+    cols = [list(map(sub, repeat(0.0), col)) for col in zip(*p)]
+    for j, col in enumerate(cols):
+        col[j] = 2.0 - p[j][j]
+    return cols
 
 
 def schulz_invert(
@@ -360,8 +377,9 @@ def schulz_invert(
     where the product is componentwise.  M, scaled by 2**-e so that its
     largest coefficient lies in [0.5, 1), is mapped there once; plane k of the
     seed divides by that plane's sum of squares; each step is two real matrix
-    products per plane, and its residual, the largest |midpoint - identity
-    entry| of M X, is read off planes 1 and 3, whose half sum is the order-4
+    products per plane, both run by the generated ``_plane_product`` of the
+    matrix's size, and its residual, the largest |midpoint - identity entry|
+    of M X, is read off planes 1 and 3, whose half sum is the order-4
     midpoint.  Results obey the rounding-error bound of a real matrix
     product, not the interval bits.
 
@@ -387,7 +405,8 @@ def schulz_invert(
     scaled = ([tuple(math.ldexp(c, -e) for c in x.coeffs) for x in r] for r in m.rows)
     m_planes = _planes(scaled)
     flats = [[v for row in mk for v in row] for mk in m_planes]
-    sums = [_plane_dot(nrows * nrows)(flat, flat) for flat in flats]
+    sum_squares = _plane_product(nrows * nrows)
+    sums = [sum_squares((flat,), (flat,))[0][0] for flat in flats]
     if 0.0 in sums:
         divisor = _number(mode, order, _from_chars(*sums))
         raise DivisionNotAllowedError(
@@ -396,14 +415,13 @@ def schulz_invert(
             divisor=divisor,
         )
     x_planes = [[[v / s for v in col] for col in zip(*mk)] for mk, s in zip(m_planes, sums)]
-    dot = _plane_dot(nrows)
+    product = _plane_product(nrows)
     resid = None
     for _ in range(max_iter):
-        p_planes = [
-            _plane_matmul(mk, tuple(zip(*xk)), dot) for mk, xk in zip(m_planes, x_planes)
-        ]
+        p_planes = [product(mk, tuple(zip(*xk))) for mk, xk in zip(m_planes, x_planes)]
+        p1, _, p3, _ = p_planes
         resid = _identity_residual(
-            [[(a + b) / 2 for a, b in zip(*rows)] for rows in zip(p_planes[0], p_planes[2])]
+            [list(map(truediv, map(add, a, b), repeat(2.0))) for a, b in zip(p1, p3)]
         )
         if resid < tol:
             try:  # map X back out of the planes and scale it back by 2**-e
@@ -418,18 +436,7 @@ def schulz_invert(
             resid = _identity_residual([[y.midpoint for y in r] for r in matmul(m, x).rows])
             if resid < tol:
                 return x
-        # the columns of 2I - P, which is 2 - P on the diagonal of every plane
-        x_planes = [
-            _plane_matmul(
-                xk,
-                [
-                    [(2.0 if i == j else 0.0) - v for i, v in enumerate(col)]
-                    for j, col in enumerate(zip(*pk))
-                ],
-                dot,
-            )
-            for xk, pk in zip(x_planes, p_planes)
-        ]
+        x_planes = [product(xk, _two_i_minus(pk)) for xk, pk in zip(x_planes, p_planes)]
     raise ConvergenceError(
         f"matrix inversion did not reach tol={tol:g} after {max_iter} iterations "
         f"(last residual {resid:.3e})",

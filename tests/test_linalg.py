@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 import sys
+import time
 
 import pytest
 from helpers import (
@@ -39,7 +41,7 @@ from intalg import (
     transpose,
     two_norm,
 )
-from intalg.linalg import _plane_dot
+from intalg.linalg import _identity_residual, _plane_product
 
 TRUE = ArithmeticMode.TRUE
 SEM = ArithmeticMode.SEMANTIC
@@ -690,18 +692,80 @@ def test_schulz_unrepresentable_inverse_raises_domain_error(value):
         schulz_invert(deg_matrix(((value,),)))
 
 
-def test_plane_dot_is_a_left_to_right_fold():
+def _fold(a, b):
+    s = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        s = s + x * y
+    return s
+
+
+def test_plane_product_is_a_left_to_right_fold():
     # (1e16 + 1) rounds back to 1e16, so the fold gives 0.0; a compensated
     # sum (the builtin sum of floats from Python 3.12 on) gives 1.0.
-    assert _plane_dot(3)((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)) == 0.0
+    assert _plane_product(3)([(1e16, 1.0, -1e16)], [(1.0, 1.0, 1.0)]) == [[0.0]]
+    # -0.0 + -0.0 is -0.0, where a sum that starts from 0.0 gives 0.0
+    got = _plane_product(2)([(-0.0, -0.0), (0.0, -0.0)], [(1.0, 1.0), (-1.0, 1.0)])
+    assert bits(v for row in got for v in row) == bits((-0.0, 0.0, 0.0, -0.0))
     rng = random.Random(7)
+    # 16 and 17 sit either side of the first 16-term statement, 40 spans three
     for n in (1, 2, 15, 16, 17, 40):
-        a = [draw_float(rng) for _ in range(n)]
-        b = [draw_float(rng) for _ in range(n)]
-        want = a[0] * b[0]
-        for x, y in zip(a[1:], b[1:]):
-            want = want + x * y
-        assert bits((_plane_dot(n)(a, b),)) == bits((want,))
+        rows = [[draw_float(rng) for _ in range(n)] for _ in range(3)]
+        cols = [[draw_float(rng) for _ in range(n)] for _ in range(2)]
+        got = _plane_product(n)(rows, cols)
+        want = [[_fold(a, b) for b in cols] for a in rows]
+        assert bits(v for row in got for v in row) == bits(v for row in want for v in row)
+
+
+def test_plane_product_code_grows_linearly():
+    # one row and one column unpack per entry, never the whole matrix, so
+    # doubling n at most doubles the code (plus wider opcodes past 256 locals)
+    sizes = {n: len(_plane_product(n).__code__.co_code) for n in (10, 20, 40, 80, 160)}
+    for n in (10, 20, 40, 80):
+        assert sizes[2 * n] < 2.5 * sizes[n], sizes
+
+
+def test_identity_residual_names_the_first_non_finite_entry():
+    # the distances' sum overflows though none of them does
+    assert _identity_residual([[2.0, -1e308], [1e308, 1.0]]) == 1e308
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"entry \(1, 0\) of M X is not finite"):
+            _identity_residual([[1.0, 0.5], [bad, math.nan]])
+    # max() would pass over a NaN that follows a number
+    with pytest.raises(DomainError, match=r"entry \(0, 1\) of M X is not finite"):
+        _identity_residual([[3.0, math.nan], [0.0, 1.0]])
+
+
+# SHA-256 of the bits of schulz_invert's outputs on seeded dominant matrices of
+# sizes 3 to 12 and radii 0, 0.01 and 0.2, and of the residual that each one's
+# ConvergenceError carries after two steps.  Recorded with the per-entry plane
+# dots that the product kernel replaced; any change to the order of the plane
+# arithmetic changes it.
+SCHULZ_SHA256 = "4d89003628d4963675bdb08908e2a8e2e9d118afdde52270b8a6664773184592"
+
+
+def test_schulz_outputs_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    rng = random.Random(18)
+    for n in range(3, 13):
+        for radius in (0.0, 0.01, 0.2):
+            m = dominant_matrix(rng, n, max_radius=radius)
+            inv = schulz_invert(m)
+            digest.update(bits(c for r in inv.rows for e in r for c in e.coeffs))
+            with pytest.raises(ConvergenceError) as failed:
+                schulz_invert(m, max_iter=2)
+            digest.update(bits((failed.value.residual,)))
+    assert digest.hexdigest() == SCHULZ_SHA256
+
+
+def test_schulz_large_matrix_compiles_and_inverts_in_time():
+    # 60 x 60 takes about 1.5 s on a 2-core x86-64 machine, compiling the
+    # kernels for lengths 60 and 3600 (the seed's sum of squares) included
+    m = dominant_matrix(random.Random(60), 60)
+    _plane_product.cache_clear()
+    start = time.perf_counter()
+    inv = schulz_invert(m)
+    assert time.perf_counter() - start < 30.0
+    assert _stop_residual(m, inv) < 1e-12
 
 
 # -- matrix text format ---------------------------------------------------------

@@ -20,7 +20,13 @@ from intalg import (
     SplitCoords,
     interval,
 )
+from intalg.algebra import _Record
 from intalg.exprcalc import BinOp, Call, IntervalLit, Neg, Num, Power, Var
+
+
+class Empty(_Record):
+    """A record with no fields: its generated ``__init__`` takes none."""
+
 
 GI = GeneralizedInterval(1, 2)
 X = interval(1, 2)
@@ -69,6 +75,7 @@ RECORDS = [
         "style=<FdStyle.MIDPOINT: 'midpoint'>)",
         (1e-6, 1e-2, 1e-6, 100_000, FdStyle.MIDPOINT),
     ),
+    (Empty(), "Empty()", ()),
 ]
 IDS = [type(r[0]).__name__ for r in RECORDS]
 
@@ -272,11 +279,19 @@ def test_public_constructors_still_convert_and_check():
     assert ia.IntervalNumber("true", AlgebraElement.unit(4)).mode is ia.ArithmeticMode.TRUE
 
 
+@pytest.mark.parametrize(
+    "element", ((1.0, 2.0, 3.0, 4.0), None, X), ids=("tuple", "None", "IntervalNumber")
+)
+def test_interval_number_takes_only_an_element(element):
+    with pytest.raises(TypeError, match=f"AlgebraElement, not {type(element).__name__}$"):
+        ia.IntervalNumber("true", element)
+
+
 def test_generated_code_keeps_its_labels():
     from intalg import linalg
 
-    assert linalg._plane_dot(3).__code__.co_filename == "<plane dot, length 3>"
-    assert linalg._plane_dot(3)((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)) == 32.0
+    assert linalg._plane_product(3).__code__.co_filename == "<plane product, length 3>"
+    assert linalg._plane_product(3)([(1.0, 2.0, 3.0)], [(4.0, 5.0, 6.0)]) == [[32.0]]
     assert IterationRecord.__init__.__code__.co_filename == "<IterationRecord.__init__>"
     assert IterationRecord.__init__.__qualname__ == "IterationRecord.__init__"
     assert GeneralizedInterval._make.__qualname__ == "GeneralizedInterval._make"
