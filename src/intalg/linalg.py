@@ -340,21 +340,18 @@ def _planes(rows) -> tuple:
 
 def _identity_residual(rows) -> float:
     """The largest |midpoint - identity entry| over a square matrix given as
-    rows of midpoints, given as lists that it changes.  A non-finite midpoint
-    (the iteration overflowed) raises DomainError naming the first one."""
+    rows of midpoints.  A non-finite midpoint (the iteration overflowed)
+    raises DomainError."""
+    resid = 0.0
     for i, row in enumerate(rows):
-        row[i] -= 1.0
-    dists = [list(map(abs, row)) for row in rows]
-    # A sum of distances is finite unless one of them is, or they overflow
-    # together; only then are they read one by one.
-    if not math.isfinite(sum(map(sum, dists))):
-        for i, row in enumerate(dists):
-            for j, r in enumerate(row):
-                if not math.isfinite(r):
-                    raise DomainError(
-                        f"matrix inversion overflowed: entry ({i}, {j}) of M X is not finite"
-                    )
-    return max(map(max, dists))
+        for j, mid in enumerate(row):
+            r = abs(mid - (1.0 if i == j else 0.0))
+            if not math.isfinite(r):
+                raise DomainError(
+                    f"matrix inversion overflowed: entry ({i}, {j}) of M X is not finite"
+                )
+            resid = max(resid, r)
+    return resid
 
 
 def _two_i_minus(p) -> list:

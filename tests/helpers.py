@@ -311,10 +311,17 @@ def reference_schulz_invert(m, tol: float = 1e-12, max_iter: int = 100):
 
 def dominant_matrix(rng, n: int, max_radius: float = 0.01) -> IntervalMatrix:
     """A diagonally dominant interval matrix: centres in [-1, 1] off the
-    diagonal, as the benchmark draws them, each entry with its own radius."""
+    diagonal, as the benchmark draws them, each entry with its own radius.
+    Each diagonal is a left-to-right fold, so the matrices are the same on
+    every Python version; the builtin ``sum`` of floats is compensated from
+    3.12 on."""
     rows = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
     for i, row in enumerate(rows):
-        d = sum(abs(v) for j, v in enumerate(row) if j != i) + rng.uniform(1.0, 1.5)
+        d = 0.0
+        for j, v in enumerate(row):
+            if j != i:
+                d += abs(v)
+        d += rng.uniform(1.0, 1.5)
         row[i] = d if rng.random() < 0.5 else -d
     return IntervalMatrix(
         [[interval(c, eps=rng.uniform(0.0, max_radius)) for c in row] for row in rows]

@@ -725,12 +725,12 @@ def test_plane_product_code_grows_linearly():
 
 
 def test_identity_residual_names_the_first_non_finite_entry():
-    # the distances' sum overflows though none of them does
+    # distances whose sum overflows are each finite
     assert _identity_residual([[2.0, -1e308], [1e308, 1.0]]) == 1e308
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError, match=r"entry \(1, 0\) of M X is not finite"):
             _identity_residual([[1.0, 0.5], [bad, math.nan]])
-    # max() would pass over a NaN that follows a number
+    # a NaN after a larger distance, which max() would pass over
     with pytest.raises(DomainError, match=r"entry \(0, 1\) of M X is not finite"):
         _identity_residual([[3.0, math.nan], [0.0, 1.0]])
 
