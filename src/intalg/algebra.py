@@ -15,7 +15,7 @@ to endpoints from the generator intervals.  Float addition does not associate,
 so the kernels' order of operations is part of the results the tests pin bit
 for bit: change the schedule or the generator and those results change with
 it.  ``_compile`` compiles all generated code: these kernels, the records'
-``__init__`` and ``_make``, and linalg's plane products.
+``__init__`` and ``_make``, and linalg's plane kernels.
 """
 
 from __future__ import annotations

@@ -207,9 +207,10 @@ def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...
     alone; otherwise a comes from Cramer's rule.  b then solves the hi
     equation, or the lo one where e_ib's hi endpoint is zero.
     A plain solve can land one ulp off an endpoint when an intermediate sum
-    ties, so each solved coefficient is tried with its four neighbouring
-    doubles, and the first pair whose collapse is exact wins; failing that,
-    the closest one.
+    ties, so unless the plain pair is exact, each solved coefficient is tried
+    with its four neighbouring doubles, and the first pair whose collapse is
+    exact wins; failing that, the closest one.  The search tries the plain
+    pair first, so taking an exact one up front gives the same coefficients.
     """
     for (g0, g1), ia, ib in _CONES[order]:
         if lo * g1 - hi * g0 >= 0:
@@ -218,14 +219,19 @@ def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...
     alo, ahi = gens[ia]
     blo, bhi = gens[ib]
     if blo == 0.0:
-        cands_a = (lo / alo,)
+        a = lo / alo
     elif bhi == 0.0:
-        cands_a = (hi / ahi,)
+        a = hi / ahi
     else:
-        cands_a = _neighbors((lo * bhi - hi * blo) / (alo * bhi - ahi * blo))
+        a = (lo * bhi - hi * blo) / (alo * bhi - ahi * blo)
+    b = (hi - a * ahi) / bhi if bhi else (lo - a * alo) / blo
+    coeffs = [0.0] * len(gens)
+    if a >= 0.0 and b >= 0.0 and a * alo + b * blo == lo and a * ahi + b * bhi == hi:
+        coeffs[ia], coeffs[ib] = a, b
+        return tuple(coeffs)
     best = None
     best_err = math.inf
-    for a in cands_a:
+    for a in _neighbors(a) if blo and bhi else (a,):
         if a < 0.0:
             continue
         for b in _neighbors((hi - a * ahi) / bhi if bhi else (lo - a * alo) / blo):
@@ -242,7 +248,6 @@ def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...
         raise DomainError(
             f"no embedding of ({lo!r}, {hi!r}) found at order {int(order)}"
         )
-    coeffs = [0.0] * len(gens)
     coeffs[ia], coeffs[ib] = best
     return tuple(coeffs)
 

@@ -5,10 +5,11 @@ nothing collapses to endpoints between operations.  ``matmul``, ``matvec``,
 ``dot`` and ``power_iterate`` run the algebra's product kernel, and their
 results are pinned bit for bit.  ``schulz_invert`` forms its seed, iterates
 and takes each step's residual in the four character planes of the order-4
-algebra, where an interval matrix is four real matrices, multiplied by one
-generated product kernel per size; its results are checked against the
-interval iteration within a measured rounding bound, and the X it returns
-passes the ``matmul`` stop test.
+algebra, where an interval matrix is four real matrices; it keeps X by
+columns, and one compile per size generates the step's kernels: the product,
+the columns of 2I - M X and the residual.  Its results are checked against
+the interval iteration within a measured rounding bound, and the X it
+returns passes the ``matmul`` stop test.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import repeat
-from operator import add, sub, truediv
+from operator import add, mul, truediv
 from typing import Iterator, Sequence
 
 from .algebra import (
@@ -311,24 +312,49 @@ def _plane_product(n: int):
     generated statements, not a call per entry.  One statement per 16 terms,
     ``s = s + t + ...``, keeps the expressions shallow and the source linear
     in n without changing the fold.
+
+    The same compile makes the Schulz step's two other kernels for n x n
+    matrices given by columns, kept as attributes of the product:
+    ``product.two_i_minus(cols)`` is the columns of 2I - P, ``0.0 - v`` off
+    the diagonal (+0.0 for a zero, unlike -v) and ``2.0 - v`` on it; and
+    ``product.residual(c1, c3)`` is ``(largest, total)`` of the distances
+    ``abs((a + b) / 2.0 - identity entry)`` over the entries a of c1 and b of
+    c3, where total, their sum, is finite only if every distance is.
     """
     terms = [f"a{i} * b{i}" for i in range(n)]
     chunks = [" + ".join(terms[k : k + 16]) for k in range(0, n, 16)]
+    dists = [f"d{i}" for i in range(n)]
+    a_vars, b_vars, e_vars = ("(" + "".join(f"{p}{i}, " for i in range(n)) + ")" for p in "abe")
+    diffs = ", ".join(f"e{i} - b{i}" for i in range(n))
     source = "\n".join(
         [
             "def product(rows, cols):",
             "    out = []",
-            "    for " + "".join(f"a{i}, " for i in range(n)) + "in rows:",
+            f"    for {a_vars} in rows:",
             "        row = []",
-            "        for " + "".join(f"b{i}, " for i in range(n)) + "in cols:",
+            f"        for {b_vars} in cols:",
             f"            s = {chunks[0]}",
             *(f"            s = s + {c}" for c in chunks[1:]),
             "            row.append(s)",
             "        out.append(row)",
             "    return out",
+            "def two_i_minus(cols):",
+            f"    return [[{diffs}] for {e_vars}, {b_vars} in zip(_twos, cols)]",
+            "def residual(c1, c3):",
+            "    r = t = 0.0",
+            f"    for {e_vars}, {a_vars}, {b_vars} in zip(_ones, c1, c3):",
+            *(f"        d{i} = abs((a{i} + b{i}) / 2.0 - e{i})" for i in range(n)),
+            *(f"        t = t + {' + '.join(dists[k : k + 16])}" for k in range(0, n, 16)),
+            f"        r = max(r, {', '.join(dists)})",
+            "    return r, t",
         ]
     )
-    return _compile(source, f"<plane product, length {n}>")["product"]
+    unit = [[float(i == j) for i in range(n)] for j in range(n)]
+    twos = [[2.0 * v for v in col] for col in unit]
+    names = _compile(source, f"<plane product, length {n}>", _ones=unit, _twos=twos)
+    product = names["product"]
+    product.two_i_minus, product.residual = names["two_i_minus"], names["residual"]
+    return product
 
 
 def _planes(rows) -> tuple:
@@ -354,13 +380,18 @@ def _identity_residual(rows) -> float:
     return resid
 
 
-def _two_i_minus(p) -> list:
-    """The columns of 2I - P for a square real matrix P given as rows.  Off
-    the diagonal an entry is 0.0 - v, which, unlike -v, is +0.0 for a zero."""
-    cols = [list(map(sub, repeat(0.0), col)) for col in zip(*p)]
-    for j, col in enumerate(cols):
-        col[j] = 2.0 - p[j][j]
-    return cols
+def _plane_residual(c1, c3) -> float:
+    """``_identity_residual`` of the midpoints (a + b) / 2 of a square matrix
+    whose characters 1 and 3 are given by the columns c1 and c3: the same
+    value, or the same error, taken by the size's generated ``residual``."""
+    resid, total = _plane_product(len(c1)).residual(c1, c3)
+    if math.isfinite(total):
+        return resid
+    # A distance is not finite, or only their sum overflowed: the entry loop
+    # names the first non-finite entry in row order, or returns the largest.
+    return _identity_residual(
+        [list(map(truediv, map(add, a, b), repeat(2.0))) for a, b in zip(zip(*c1), zip(*c3))]
+    )
 
 
 def schulz_invert(
@@ -373,11 +404,12 @@ def schulz_invert(
     The iteration runs in the four character planes of the order-4 algebra,
     where the product is componentwise.  M, scaled by 2**-e so that its
     largest coefficient lies in [0.5, 1), is mapped there once; plane k of the
-    seed divides by that plane's sum of squares; each step is two real matrix
-    products per plane, both run by the generated ``_plane_product`` of the
-    matrix's size, and its residual, the largest |midpoint - identity entry|
-    of M X, is read off planes 1 and 3, whose half sum is the order-4
-    midpoint.  Results obey the rounding-error bound of a real matrix
+    seed divides by that plane's sum of squares.  Each plane of X is kept by
+    columns, so a step runs the generated kernels of the matrix's size: two
+    real matrix products per plane, M X and X (2I - M X), both by columns,
+    the columns of 2I - M X, and its residual, the largest |midpoint -
+    identity entry| of M X, read off planes 1 and 3, whose half sum is the
+    order-4 midpoint.  Results obey the rounding-error bound of a real matrix
     product, not the interval bits.
 
     Below ``tol``, X is mapped back, scaled back and confirmed with
@@ -401,9 +433,9 @@ def schulz_invert(
     e = math.frexp(max(abs(c) for r in m.rows for x in r for c in x.coeffs))[1]
     scaled = ([tuple(math.ldexp(c, -e) for c in x.coeffs) for x in r] for r in m.rows)
     m_planes = _planes(scaled)
-    flats = [[v for row in mk for v in row] for mk in m_planes]
-    sum_squares = _plane_product(nrows * nrows)
-    sums = [sum_squares((flat,), (flat,))[0][0] for flat in flats]
+    flats = ([v for row in mk for v in row] for mk in m_planes)
+    # the left-to-right fold of the squares, as _plane_product folds a dot
+    sums = [functools.reduce(add, map(mul, f, f)) for f in flats]
     if 0.0 in sums:
         divisor = _number(mode, order, _from_chars(*sums))
         raise DivisionNotAllowedError(
@@ -411,20 +443,24 @@ def schulz_invert(
             f"2**{-2 * e}) is {format_interval(divisor.raw)}",
             divisor=divisor,
         )
-    x_planes = [[[v / s for v in col] for col in zip(*mk)] for mk, s in zip(m_planes, sums)]
+    # column j of X is row j of M over the sum
+    x_planes = [[[v / s for v in row] for row in mk] for mk, s in zip(m_planes, sums)]
     product = _plane_product(nrows)
     resid = None
     for _ in range(max_iter):
-        p_planes = [product(mk, tuple(zip(*xk))) for mk, xk in zip(m_planes, x_planes)]
-        p1, _, p3, _ = p_planes
-        resid = _identity_residual(
-            [list(map(truediv, map(add, a, b), repeat(2.0))) for a, b in zip(p1, p3)]
-        )
+        # Columns by rows give the columns of the rows-by-columns product: each
+        # term's factors swap, which leaves its IEEE product exact, and the
+        # fold keeps its order.
+        p_planes = [product(xk, mk) for xk, mk in zip(x_planes, m_planes)]
+        resid = _plane_residual(p_planes[0], p_planes[2])
         if resid < tol:
             try:  # map X back out of the planes and scale it back by 2**-e
                 x = IntervalMatrix(
                     [_number(mode, order, tuple(math.ldexp(c, -e) for c in cs)) for cs in r]
-                    for r in (map(_from_chars, *rows) for rows in zip(*x_planes))
+                    for r in (
+                        map(_from_chars, *rows)
+                        for rows in zip(*(zip(*xk) for xk in x_planes))
+                    )
                 )
             except OverflowError:
                 raise DomainError(
@@ -433,7 +469,10 @@ def schulz_invert(
             resid = _identity_residual([[y.midpoint for y in r] for r in matmul(m, x).rows])
             if resid < tol:
                 return x
-        x_planes = [product(xk, _two_i_minus(pk)) for xk, pk in zip(x_planes, p_planes)]
+        x_planes = [
+            product(product.two_i_minus(pk), tuple(zip(*xk)))
+            for xk, pk in zip(x_planes, p_planes)
+        ]
     raise ConvergenceError(
         f"matrix inversion did not reach tol={tol:g} after {max_iter} iterations "
         f"(last residual {resid:.3e})",

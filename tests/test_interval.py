@@ -287,6 +287,45 @@ def test_embed_matches_cone_probe_bit_for_bit(order):
         assert bits(embed(lo, hi, order).coeffs) == want, (lo, hi)
 
 
+# Decimal pairs on which the plain solve lands an ulp off an endpoint, at
+# least one for each pair of rays that such pairs reach at the order.
+SEARCHED_PAIRS = {
+    4: ((-6.86, -2.56), (-3.35, -1.16), (0.51, 3.32), (1.4, 7.78)),
+    5: (
+        (-0.27, 6.69), (-2.4, 7.87), (-7.64, 0.94), (-7.3, 2.6),
+        (-3.77, -1.53), (0.27, 7.22),
+    ),
+    7: (
+        (-0.12, 2.64), (-0.49, 6.97), (-1.82, -0.66), (0.86, 1.93),
+        (-6.78, 1.3), (-7.05, 1.28),
+    ),
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_embed_searches_the_neighbours_when_the_plain_solve_misses(monkeypatch, order):
+    # An exact plain pair is taken as it is; any other runs the neighbour
+    # search, whose coefficients must still be the cone probe's.
+    module = sys.modules["intalg.interval"]
+    original = module._neighbors
+    searched = []
+
+    def counting(value):
+        searched.append(value)
+        return original(value)
+
+    monkeypatch.setattr(module, "_neighbors", counting)
+    for lo, hi in SEARCHED_PAIRS[order]:
+        for pair in ((lo, hi), (hi, lo)):
+            want = bits(reference_embed(*pair, order))
+            searched.clear()
+            assert bits(embed(*pair, order).coeffs) == want, pair
+            assert searched, pair
+    searched.clear()
+    assert bits(embed(1.0, 3.0, order).coeffs) == bits(reference_embed(1.0, 3.0, order))
+    assert not searched
+
+
 def test_improper_pair_is_embedded_once(monkeypatch):
     # The mirrored proper pair goes straight to the kernel, not back through
     # the public embed with its conversions and finiteness check.

@@ -10,6 +10,7 @@ from helpers import (
     bits,
     close_ulps,
     dominant_matrix,
+    draw_coeff,
     draw_float,
     reference_matmul,
     reference_power_iterate,
@@ -41,7 +42,7 @@ from intalg import (
     transpose,
     two_norm,
 )
-from intalg.linalg import _identity_residual, _plane_product
+from intalg.linalg import _identity_residual, _plane_product, _plane_residual
 
 TRUE = ArithmeticMode.TRUE
 SEM = ArithmeticMode.SEMANTIC
@@ -716,6 +717,26 @@ def test_plane_product_is_a_left_to_right_fold():
         assert bits(v for row in got for v in row) == bits(v for row in want for v in row)
 
 
+def test_plane_product_of_columns_by_rows_is_the_transpose():
+    # Schulz keeps X by columns and takes M X as product(x_cols, m_rows): each
+    # term's factors swap, which IEEE multiplication leaves exact, and the
+    # fold keeps its order, so the result is the transpose, bit for bit.
+    canary = ([(1e16, 1.0, -1e16), (-0.0, 0.0, -0.0)], [(1.0, 1.0, 1.0), (1.0, -1.0, 1.0)])
+    zeros = ([(-0.0, -0.0), (0.0, -0.0)], [(1.0, 1.0), (-1.0, 1.0), (-0.0, 0.0)])
+    cases = [canary, zeros]
+    rng = random.Random(19)
+    for n in (1, 16, 17, 40):
+        rows = [[draw_float(rng) for _ in range(n)] for _ in range(3)]
+        cols = [[draw_float(rng) for _ in range(n)] for _ in range(2)]
+        cases.append((rows, cols))
+    for rows, cols in cases:
+        product = _plane_product(len(rows[0]))
+        by_rows, by_cols = product(rows, cols), product(cols, rows)
+        assert bits(v for col in by_cols for v in col) == bits(
+            v for col in zip(*by_rows) for v in col
+        )
+
+
 def test_plane_product_code_grows_linearly():
     # one row and one column unpack per entry, never the whole matrix, so
     # doubling n at most doubles the code (plus wider opcodes past 256 locals)
@@ -733,6 +754,68 @@ def test_identity_residual_names_the_first_non_finite_entry():
     # a NaN after a larger distance, which max() would pass over
     with pytest.raises(DomainError, match=r"entry \(0, 1\) of M X is not finite"):
         _identity_residual([[3.0, math.nan], [0.0, 1.0]])
+
+
+def _residual_outcome(residual, *args):
+    try:
+        return bits((residual(*args),))
+    except DomainError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize(
+    "mids",
+    (
+        [[2.0, -0.8e308], [0.8e308, -0.8e308]],  # distances whose sum overflows
+        [[1.0, 0.5], [math.inf, math.nan]],
+        [[1.0, 0.5], [-math.inf, math.nan]],
+        [[1.0, 0.5], [math.nan, math.nan]],
+        [[3.0, math.nan], [0.0, 1.0]],  # a NaN after a larger distance
+        [[1.0, math.nan], [math.inf, 1.0]],  # the first in row order, not by columns
+    ),
+)
+def test_plane_residual_is_the_identity_residual(mids):
+    # Planes 1 and 3 both equal to the midpoints have them as half sums.
+    cols = [list(col) for col in zip(*mids)]
+    want = _residual_outcome(_identity_residual, mids)
+    assert _residual_outcome(_plane_residual, cols, cols) == want
+
+
+def test_plane_residual_is_the_identity_residual_on_random_planes():
+    rng = random.Random(20)
+    for n in (1, 2, 3, 10, 17):
+        for _ in range(50):
+            c1, c3 = (
+                [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)] for _ in range(2)
+            )
+            for _ in range(rng.randint(0, 2)):  # specials, huge and tiny values
+                rng.choice((c1, c3))[rng.randrange(n)][rng.randrange(n)] = draw_coeff(rng)
+            mids = [
+                [(a + b) / 2.0 for a, b in zip(r1, r3)] for r1, r3 in zip(zip(*c1), zip(*c3))
+            ]
+            want = _residual_outcome(_identity_residual, mids)
+            assert _residual_outcome(_plane_residual, c1, c3) == want, (c1, c3)
+
+
+def test_schulz_confirms_with_one_matmul_per_converged_call(monkeypatch):
+    # The stop test runs the public matmul once a plane residual falls below
+    # tol; at the default tol the first candidate passes it.
+    module = sys.modules["intalg.linalg"]
+    original = module.matmul
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(module, "matmul", counted)
+    rng = random.Random(21)
+    for n in range(1, 13):
+        for radius in (0.0, 0.01, 0.2):
+            m = dominant_matrix(rng, n, max_radius=radius)
+            calls.clear()
+            schulz_invert(m)
+            assert len(calls) == 1, (n, radius)
 
 
 # SHA-256 of the bits of schulz_invert's outputs on seeded dominant matrices of
@@ -759,7 +842,7 @@ def test_schulz_outputs_are_pinned_bit_for_bit():
 
 def test_schulz_large_matrix_compiles_and_inverts_in_time():
     # 60 x 60 takes about 1.5 s on a 2-core x86-64 machine, compiling the
-    # kernels for lengths 60 and 3600 (the seed's sum of squares) included
+    # kernels for length 60 included; the seed's sum of squares compiles none
     m = dominant_matrix(random.Random(60), 60)
     _plane_product.cache_clear()
     start = time.perf_counter()
