@@ -51,9 +51,9 @@ class _Record:
     (only against the same class), a ``Name(field=value, ...)`` repr, and
     assignment and deletion that raise AttributeError.  One that declares
     ``__slots__`` has no instance ``__dict__`` (the base has no slots) and gets
-    ``_make(*fields)``, its one builder, which trusts its arguments and sets a
-    slot that is not a field to None; its public constructor is a ``__new__``
-    that checks and converts them and returns ``_make(...)``.  One that
+    ``_make(*fields)``, its one builder, which trusts its arguments; its
+    public constructor is a ``__new__`` that checks and converts them and
+    returns ``_make(...)``.  Its slots are its fields, in order.  One that
     defines neither ``__init__`` nor ``__new__`` gets a generated ``__init__``
     taking the fields in order, class-attribute values as defaults, that calls
     ``__post_init__`` if the class defines one.  Pickling and copying call the
@@ -126,9 +126,10 @@ def _field_init(cls):
 
 def _slot_make(cls):
     """The generated ``_make`` of a slotted record class, which stores each
-    slot through its setter: the refused assignment is bypassed here."""
-    setters = {f"_set_{n}": cls.__dict__[n].__set__ for n in cls.__slots__}
-    stores = [f"    _set_{n}(self, {n if n in cls._fields else None})" for n in cls.__slots__]
+    field through its slot's setter: the refused assignment is bypassed here,
+    and nothing writes the record after ``_make`` returns."""
+    setters = {f"_set_{n}": cls.__dict__[n].__set__ for n in cls._fields}
+    stores = [f"    _set_{n}(self, {n})" for n in cls._fields]
     head = [f"def _make({', '.join(cls._fields)}):", "    self = _new(_cls)"]
     source = "\n".join([*head, *stores, "    return self"])
     return _generated(cls, "_make", source, _new=object.__new__, _cls=cls, **setters)

@@ -12,6 +12,7 @@ from .errors import ConvergenceError, DomainError, IntalgError, NotInvertibleErr
 from .exprcalc import evaluate, parse
 from .interval import (
     ArithmeticMode,
+    GeneralizedInterval,
     format_interval,
     format_number,
     interval,
@@ -80,9 +81,7 @@ def _cmd_compare_mul(args) -> int:
     y = parse_interval_literal(args.y)
     if x[0] > x[1] or y[0] > y[1]:
         raise ValueError("compare-mul needs proper intervals")
-    rows = []
-    mk = mink_mul(interval(*x).raw, interval(*y).raw)
-    rows.append(("minkowski", mk))
+    rows = [("minkowski", mink_mul(GeneralizedInterval(*x), GeneralizedInterval(*y)))]
     for order in (4, 5, 7):
         prod = interval(*x, order=order) * interval(*y, order=order)
         rows.append((f"order-{order}", prod.raw))
@@ -136,10 +135,12 @@ def _run_optimizer(args) -> int:
 def _load_matrix(args) -> IntervalMatrix:
     mode = ArithmeticMode(args.mode)
     if args.file:
+        if args.eps is not None:
+            raise ValueError("--eps is the entry radius of --demo matrices, not of --file")
         text = Path(args.file).read_text(encoding="utf-8")
         return parse_matrix_text(text, order=args.order, mode=mode)
     centers = DEMO_MATRICES[args.demo]
-    eps = args.eps
+    eps = 0.0 if args.eps is None else args.eps
     return IntervalMatrix(
         [
             [interval(c, eps=eps, order=args.order, mode=mode) for c in row]
@@ -264,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument(
         "--eps",
         type=_finite_float,
-        default=0.0,
-        help="entry radius for --demo matrices",
+        help="entry radius for --demo matrices (default: 0)",
     )
     matrix.set_defaults(algo_exit=3)
     p = sub.add_parser(

@@ -5,10 +5,10 @@ generators and then lives as a coefficient vector until a result is needed;
 collapsing back to endpoints mid-computation would forfeit distributivity,
 so arithmetic here never does it implicitly.
 
-An ``IntervalNumber`` is one flat object: mode, order, coefficient tuple and
-a cached endpoint pair.  Its operators run the order's generated kernels
-(``algebra._MUL``, ``_ADD``, ...) on coefficient tuples, a real operand goes
-straight to the coefficients of its point interval, and the
+An ``IntervalNumber`` is one flat object: mode, order and coefficient tuple;
+its endpoint pair is collapsed on each read.  Its operators run the order's
+generated kernels (``algebra._MUL``, ``_ADD``, ...) on coefficient tuples, a
+real operand goes straight to the coefficients of its point interval, and the
 ``AlgebraElement`` view is built only when asked for.  One dispatch,
 ``_embed_coeffs``, turns endpoint pairs into coefficient tuples for ``embed``,
 the lifted functions and semantic negation alike, and ``collapse`` builds its
@@ -319,18 +319,17 @@ class IntervalNumber(_Record):
     arithmetic mode.
 
     One flat object: the slots ``mode``, ``order`` (an AlgebraOrder) and
-    ``coeffs`` (a tuple of floats) hold the value, and a fourth slot caches
-    ``raw``, the endpoint pair, from its first read on.  The operators run
-    the order's coefficient kernels on ``coeffs`` directly; ``element`` is
-    an AlgebraElement view built on each read.  ``IntervalNumber(mode,
-    element)`` is the public constructor.
+    ``coeffs`` (a tuple of floats) hold the value, and nothing else is
+    stored.  The operators run the order's coefficient kernels on ``coeffs``
+    directly; ``element`` and ``raw``, the endpoint pair, are built on each
+    read.  ``IntervalNumber(mode, element)`` is the public constructor.
 
     Values are immutable; equality and ordering act on the canonical endpoint
     pair (two distinct elements can denote the same interval), while
     ``x.coeffs == y.coeffs`` compares the underlying coefficient vectors.
     """
 
-    __slots__ = ("mode", "order", "coeffs", "_raw")
+    __slots__ = ("mode", "order", "coeffs")
     mode: ArithmeticMode
     order: AlgebraOrder
     coeffs: tuple[float, ...]
@@ -350,13 +349,8 @@ class IntervalNumber(_Record):
 
     @property
     def raw(self) -> GeneralizedInterval:
-        """The endpoint pair in its raw orientation, collapsed on the first
-        read and cached."""
-        raw = self._raw
-        if raw is None:
-            raw = collapse(self)
-            _set_raw(self, raw)
-        return raw
+        """The endpoint pair in its raw orientation, collapsed on each read."""
+        return collapse(self)
 
     @property
     def canonical(self) -> GeneralizedInterval:
@@ -528,7 +522,6 @@ class IntervalNumber(_Record):
 
 
 _number = IntervalNumber._make  # every result: a mode, an AlgebraOrder and floats
-_set_raw = IntervalNumber.__dict__["_raw"].__set__
 
 
 def _negated(x: IntervalNumber) -> tuple[float, ...]:

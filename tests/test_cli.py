@@ -1,6 +1,7 @@
 import pytest
 
 import intalg as ia
+from intalg import cli
 from intalg.cli import main
 
 
@@ -212,6 +213,24 @@ def test_compare_mul_raw(capsys):
     code, out, _ = run_cli(capsys, "compare-mul", "--raw", "--x", "[-2,3]", "--y", "[-4,2]")
     assert code == 0
     assert "(-16.0,14.0)" in out.splitlines()[1]
+
+
+def test_compare_mul_minkowski_row_takes_the_typed_endpoints(capsys, monkeypatch):
+    # Embedding [1.77, 7.3945] and collapsing it back moves hi by an ulp; the
+    # set product must see the endpoints as typed.  The 12-digit display
+    # hides that ulp, so the arguments are captured instead.
+    assert ia.interval(1.77, 7.3945).raw.hi != 7.3945
+    calls = []
+
+    def capturing_mink_mul(x, y):
+        calls.append((x, y))
+        return ia.mink_mul(x, y)
+
+    monkeypatch.setattr(cli, "mink_mul", capturing_mink_mul)
+    code, _, _ = run_cli(capsys, "compare-mul", "--x", "[1.77,7.3945]", "--y", "[7.3945,8]")
+    assert code == 0
+    x, y = calls[0]
+    assert (x.lo, x.hi, y.lo, y.hi) == (1.77, 7.3945, 7.3945, 8.0)
 
 
 def test_compare_mul_same_piece(capsys):
@@ -433,6 +452,20 @@ def test_matrix_file_shape_error(tmp_path, capsys):
     path.write_text("[1,1],[0,0]\n[0,0]\n")
     code, _, err = run_cli(capsys, "invert", "--file", str(path))
     assert code == 2 and "rows" in err
+
+
+@pytest.mark.parametrize("command", ("eigen", "invert"))
+def test_eps_with_a_matrix_file_exits_2(tmp_path, capsys, command):
+    # --eps is the entry radius of --demo matrices; a file's literals carry
+    # their own, so the flag is refused rather than ignored.
+    path = tmp_path / "m.txt"
+    path.write_text("[2,2],[0,0]\n[0,0],[3,3]\n")
+    for eps in ("0", "0.5"):
+        code, out, err = run_cli(capsys, command, "--file", str(path), "--eps", eps)
+        assert code == 2 and out == ""
+        assert "--eps is the entry radius of --demo matrices" in err
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert code == 0 and err == ""
 
 
 def test_eigen_requires_matrix_source(capsys):

@@ -371,7 +371,10 @@ def test_lifts_and_semantic_negation_skip_the_public_embed(monkeypatch, order):
             assert bits((-x).coeffs) == bits(reference_embed(-c.hi, -c.lo, order))
 
 
-def test_raw_is_collapsed_once(monkeypatch):
+def test_every_raw_read_is_a_fresh_collapse_bit_for_bit(monkeypatch):
+    # raw is collapse(x) on each read, looked up by the module-level name, so
+    # a patched collapse sees every read.  Coefficients with signed zeros
+    # collapse to +0.0 endpoints, and an improper pair keeps its orientation.
     module = sys.modules["intalg.interval"]
     calls = []
 
@@ -380,11 +383,22 @@ def test_raw_is_collapsed_once(monkeypatch):
         return collapse(element)
 
     monkeypatch.setattr(module, "collapse", counting_collapse)
-    x = interval(1, 2) - interval(3, 5)
-    first = x.raw
-    assert x.raw is first and first == collapse(x.element)
-    x.canonical, x.min, x.max, x.width, x.midpoint, x.norm, str(x), repr(x)
-    assert len(calls) == 1
+    numbers = [
+        interval(1, 2) - interval(3, 5),
+        interval(0.0, -0.0),
+        ia.IntervalNumber(SEM, ia.AlgebraElement(4, (-0.0, -0.0, 0.0, -0.0))),
+        ia.IntervalNumber(SEM, ia.AlgebraElement(7, (-0.0, 0.0, 5e-324, 2.0, 2.5, 0.0, -3.0))),
+    ]
+    assert bits(numbers[0].raw._values()) == bits((-2.0, -3.0))
+    assert bits(numbers[1].coeffs) == bits((0.0, -0.0, 0.0, 0.0))
+    for x in numbers[1:3]:
+        assert bits(x.raw._values()) == bits((0.0, 0.0))
+    calls.clear()
+    for x in numbers:
+        expected = bits(collapse(x.element)._values())
+        for _ in range(3):
+            assert bits(x.raw._values()) == expected
+    assert len(calls) == 3 * len(numbers)
 
 
 def test_embed_proper_is_nonnegative():

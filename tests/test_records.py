@@ -172,14 +172,11 @@ _ROUND_TRIPS = [
 ]
 
 
-@pytest.mark.parametrize("read_raw", (False, True))
-def test_interval_number_round_trips_keep_the_element(read_raw):
-    # Pickle at every protocol, deepcopy and copy, with the collapse cached
-    # or not: slots are restored differently across Python versions.
+def test_interval_number_round_trips_keep_the_element():
+    # Pickle at every protocol, deepcopy and copy: slots are restored
+    # differently across Python versions.
     for round_trip in _ROUND_TRIPS:
         for x in _numbers():
-            if read_raw:
-                x.raw
             twin = round_trip(x)
             assert type(twin) is ia.IntervalNumber and twin.coeffs == x.coeffs
             assert bits(twin.coeffs) == bits(x.coeffs)
@@ -210,18 +207,15 @@ def test_generalized_interval_is_slotted_and_round_trips_bit_for_bit():
             assert bits((twin.lo, twin.hi)) == bits((g.lo, g.hi))
 
 
-@pytest.mark.parametrize("read_raw", (False, True))
-def test_interval_number_is_one_slotted_object(read_raw):
+def test_interval_number_is_one_slotted_object():
     for x in _numbers():
-        if read_raw:
-            x.raw
         assert not hasattr(x, "__dict__")
         for name in (*ia.IntervalNumber.__slots__, "raw", "element", "other"):
             with pytest.raises(AttributeError):
                 setattr(x, name, None)
             with pytest.raises(AttributeError):
                 delattr(x, name)
-        assert x.raw is x.raw
+        assert bits(x.raw._values()) == bits(x.raw._values())
         assert x.element == AlgebraElement(x.order, x.coeffs)
         assert not hasattr(x.element, "__dict__")
 
@@ -254,11 +248,27 @@ def test_make_builds_the_slotted_record_the_constructor_builds(cls, fields, args
     assert "__init__" not in cls.__dict__ and "__new__" in cls.__dict__
 
 
-def test_make_leaves_the_collapse_cache_empty():
-    coeffs = (1.0, 1.0, 0.0, 0.0)
-    x = ia.IntervalNumber._make(ia.ArithmeticMode.TRUE, AlgebraOrder.ORDER_4, coeffs)
-    assert x._raw is None
-    assert x.raw == GeneralizedInterval(1.0, 2.0) and x._raw is x.raw
+def _record_classes(cls=_Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_slots_are_the_fields():
+    # _make stores exactly the fields: no slot is left for a later write.
+    slotted = [cls for cls in _record_classes() if "__slots__" in cls.__dict__]
+    assert {cls for cls, _, _ in SLOTTED} <= set(slotted)
+    for cls in slotted:
+        assert cls.__slots__ == cls._fields, cls
+
+
+def test_reading_every_property_leaves_the_fields_unchanged():
+    for x in _numbers():
+        before = repr(x._values())
+        x.raw, x.canonical, x.min, x.max, x.width, x.midpoint, x.norm, x.element
+        str(x), repr(x), abs(x), hash(x), x == x, x < x, x.contains(x)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(x._values()) == before
 
 
 def test_only_slotted_records_have_make():
