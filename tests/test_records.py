@@ -172,11 +172,15 @@ _ROUND_TRIPS = [
 ]
 
 
-def test_interval_number_round_trips_keep_the_element():
-    # Pickle at every protocol, deepcopy and copy: slots are restored
-    # differently across Python versions.
+@pytest.mark.parametrize("read_raw", (False, True))
+def test_interval_number_round_trips_keep_the_element(read_raw):
+    # Pickle at every protocol, deepcopy and copy, with raw read before the
+    # round trip or not: slots are restored differently across Python
+    # versions, and reading raw must leave nothing behind to restore.
     for round_trip in _ROUND_TRIPS:
         for x in _numbers():
+            if read_raw:
+                x.raw
             twin = round_trip(x)
             assert type(twin) is ia.IntervalNumber and twin.coeffs == x.coeffs
             assert bits(twin.coeffs) == bits(x.coeffs)
@@ -207,8 +211,11 @@ def test_generalized_interval_is_slotted_and_round_trips_bit_for_bit():
             assert bits((twin.lo, twin.hi)) == bits((g.lo, g.hi))
 
 
-def test_interval_number_is_one_slotted_object():
+@pytest.mark.parametrize("read_raw", (False, True))
+def test_interval_number_is_one_slotted_object(read_raw):
     for x in _numbers():
+        if read_raw:
+            x.raw
         assert not hasattr(x, "__dict__")
         for name in (*ia.IntervalNumber.__slots__, "raw", "element", "other"):
             with pytest.raises(AttributeError):
