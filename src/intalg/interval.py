@@ -125,15 +125,15 @@ class GeneralizedInterval(_Record):
 
     @property
     def width(self) -> float:
-        return abs(self.hi - self.lo)
+        return _width(self.lo, self.hi)
 
     @property
     def midpoint(self) -> float:
-        return (self.lo + self.hi) / 2.0
+        return _midpoint(self.lo, self.hi)
 
     @property
     def norm(self) -> float:
-        return self.width + abs(self.midpoint)
+        return _norm(self.lo, self.hi)
 
     def __str__(self) -> str:
         return format_interval(self)
@@ -142,23 +142,38 @@ class GeneralizedInterval(_Record):
 _pair = GeneralizedInterval._make
 
 
+def _width(lo: float, hi: float) -> float:
+    return abs(hi - lo)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    return (lo + hi) / 2.0
+
+
+def _norm(lo: float, hi: float) -> float:
+    return _width(lo, hi) + abs(_midpoint(lo, hi))
+
+
 # ---------------------------------------------------------------------------
 # Embedding and collapse
 # ---------------------------------------------------------------------------
 
-def collapse(element: AlgebraElement) -> GeneralizedInterval:
-    """Map a coefficient vector back to its endpoint pair (a lossy linear map).
-
-    Raises DomainError when an endpoint comes out NaN: coefficients that
-    overflowed to infinity meet as inf - inf or inf * 0.
-    """
-    lo, hi = _COLLAPSE[element.order](element.coeffs)
+def _endpoints(x: AlgebraElement | IntervalNumber) -> tuple[float, float]:
+    """x's raw (lo, hi) straight off its order's collapse kernel; DomainError
+    when one is NaN, as overflowed coefficients meet in inf - inf or inf * 0."""
+    lo, hi = _COLLAPSE[x.order](x.coeffs)
     if lo != lo or hi != hi:
         raise DomainError(
-            f"element {element.coeffs!r} of order {int(element.order)} has no "
+            f"element {x.coeffs!r} of order {int(x.order)} has no "
             f"endpoints: its collapse ({lo!r}, {hi!r}) is NaN"
         )
-    return _pair(lo, hi)  # the kernel's endpoints are floats already
+    return lo, hi
+
+
+def collapse(element: AlgebraElement) -> GeneralizedInterval:
+    """Map a coefficient vector back to its endpoint pair (a lossy linear
+    map); DomainError when an endpoint comes out NaN, as in ``_endpoints``."""
+    return _pair(*_endpoints(element))  # the kernel's endpoints are floats already
 
 
 def _neighbors(value: float) -> tuple[float, ...]:
@@ -320,9 +335,11 @@ class IntervalNumber(_Record):
 
     One flat object: the slots ``mode``, ``order`` (an AlgebraOrder) and
     ``coeffs`` (a tuple of floats) hold the value, and nothing else is
-    stored.  The operators run the order's coefficient kernels on ``coeffs``
-    directly; ``element`` and ``raw``, the endpoint pair, are built on each
-    read.  ``IntervalNumber(mode, element)`` is the public constructor.
+    stored.  The operators run the order's coefficient kernels on ``coeffs``.
+    ``min``, ``max``, ``width``, ``midpoint`` and ``norm`` are floats read off
+    the collapse kernel; ``element`` and the endpoint pairs ``raw`` and
+    ``canonical`` are built on each read.  ``IntervalNumber(mode, element)``
+    is the public constructor.
 
     Values are immutable; equality and ordering act on the canonical endpoint
     pair (two distinct elements can denote the same interval), while
@@ -358,26 +375,27 @@ class IntervalNumber(_Record):
 
     @property
     def min(self) -> float:
-        return self.canonical.lo
+        lo, hi = _endpoints(self)
+        return lo if lo <= hi else hi
 
     @property
     def max(self) -> float:
-        return self.canonical.hi
+        lo, hi = _endpoints(self)
+        return hi if lo <= hi else lo
 
     @property
     def width(self) -> float:
-        return self.raw.width
+        return _width(*_endpoints(self))
 
     @property
     def midpoint(self) -> float:
-        return self.raw.midpoint
+        return _midpoint(*_endpoints(self))
 
     @property
     def norm(self) -> float:
-        return self.raw.norm
+        return _norm(*_endpoints(self))
 
-    def __abs__(self) -> float:
-        return self.norm
+    __abs__ = norm.fget
 
     def __str__(self) -> str:
         return format_interval(self.raw)
@@ -631,13 +649,18 @@ def pow_int(x: IntervalNumber, exponent: int) -> IntervalNumber:
 # Monotone function lifting
 # ---------------------------------------------------------------------------
 
-def _lift(fn: Callable[[float], float], x: IntervalNumber) -> IntervalNumber:
-    r = x.raw
+def _lift(fn: Callable[[float], float], x: IntervalNumber, domain: str = "") -> IntervalNumber:
+    """fn on x's raw endpoints, embedded; fn's ValueError marks its domain's edge."""
+    lo, hi = _endpoints(x)
     try:
-        lo, hi = fn(r.lo), fn(r.hi)
+        lo, hi = fn(lo), fn(hi)
     except OverflowError:
         raise DomainError(
-            f"{fn.__name__} overflows on the endpoints ({r.lo!r}, {r.hi!r})"
+            f"{fn.__name__} overflows on the endpoints ({lo!r}, {hi!r})"
+        ) from None
+    except ValueError:
+        raise DomainError(
+            f"{fn.__name__} requires {domain} interval, got {format_interval(x.raw)}"
         ) from None
     return _number(x.mode, x.order, _embed_coeffs(lo, hi, x.order))
 
@@ -648,19 +671,11 @@ def exp(x: IntervalNumber) -> IntervalNumber:
 
 
 def log(x: IntervalNumber) -> IntervalNumber:
-    if x.canonical.lo <= 0.0:
-        raise DomainError(
-            f"log requires a strictly positive interval, got {format_interval(x.raw)}"
-        )
-    return _lift(math.log, x)
+    return _lift(math.log, x, "a strictly positive")
 
 
 def sqrt(x: IntervalNumber) -> IntervalNumber:
-    if x.canonical.lo < 0.0:
-        raise DomainError(
-            f"sqrt requires a nonnegative interval, got {format_interval(x.raw)}"
-        )
-    return _lift(math.sqrt, x)
+    return _lift(math.sqrt, x, "a nonnegative")
 
 
 # ---------------------------------------------------------------------------

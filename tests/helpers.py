@@ -160,6 +160,38 @@ def reference_collapse(u) -> tuple[float, float]:
     return _collapse_raw(u.order, u.coeffs)
 
 
+def reference_reads(x) -> dict[str, float]:
+    """The float reads of an interval number, as the endpoint pair's own
+    formulas give them on ``reference_collapse``'s endpoints: min, max,
+    width, midpoint and norm.  Raises DomainError when an endpoint is NaN,
+    as the library's reads do.
+
+    Kept as the oracle for ``IntervalNumber``'s reads, which take their
+    endpoints straight from the generated collapse kernel: the same float
+    operations, so the two agree bit for bit.
+    """
+    lo, hi = reference_collapse(x)
+    if lo != lo or hi != hi:
+        raise DomainError(f"the reference collapse of {x.coeffs!r} is NaN")
+    width = abs(hi - lo)
+    midpoint = (lo + hi) / 2.0
+    return {
+        "min": lo if lo <= hi else hi,
+        "max": hi if lo <= hi else lo,
+        "width": width,
+        "midpoint": midpoint,
+        "norm": width + abs(midpoint),
+    }
+
+
+def reference_midpoint(x) -> float:
+    return reference_reads(x)["midpoint"]
+
+
+def reference_norm(x) -> float:
+    return reference_reads(x)["norm"]
+
+
 def reference_is_invertible(u) -> bool:
     """The invertibility test as a direct check of the split pairs.
 
@@ -299,7 +331,7 @@ def reference_schulz_invert(m, tol: float = 1e-12, max_iter: int = 100):
     for _ in range(max_iter):
         p = matmul(m, x)
         resid = max(
-            abs(p[i, j].midpoint - (1.0 if i == j else 0.0))
+            abs(reference_midpoint(p[i, j]) - (1.0 if i == j else 0.0))
             for i in range(n)
             for j in range(n)
         )
@@ -355,7 +387,7 @@ def reference_scalar(s: float, x: IntervalNumber) -> IntervalNumber:
 
 def _reference_center(x: IntervalNumber, style: FdStyle) -> IntervalNumber:
     if style is FdStyle.MIDPOINT:
-        return interval(x.midpoint, order=x.order, mode=x.mode)
+        return interval(reference_midpoint(x), order=x.order, mode=x.mode)
     return x
 
 
@@ -364,7 +396,7 @@ def reference_fd_first(f, x: IntervalNumber, h: float, style: FdStyle):
     c = _reference_center(x, style)
     d = f(c + reference_scalar(h, c)) - f(c - reference_scalar(h, c))
     if style is FdStyle.MIDPOINT:
-        return interval(d.midpoint / (2.0 * h), order=x.order, mode=x.mode)
+        return interval(reference_midpoint(d) / (2.0 * h), order=x.order, mode=x.mode)
     return d / reference_scalar(2.0 * h, x)
 
 
@@ -378,7 +410,7 @@ def reference_fd_second(f, x: IntervalNumber, h: float, style: FdStyle):
     fc = f(c)
     s = up + down - fc * reference_scalar(2.0, fc)
     if style is FdStyle.MIDPOINT:
-        return interval(s.midpoint / h2, order=x.order, mode=x.mode)
+        return interval(reference_midpoint(s) / h2, order=x.order, mode=x.mode)
     return s / reference_scalar(h2, x)
 
 
@@ -395,7 +427,7 @@ def reference_gradient_descent(f, x0: IntervalNumber, cfg) -> tuple:
     trace = [IterationRecord(0, x.raw, f(x).raw)]
     for k in range(1, cfg.max_iter + 1):
         fp = reference_fd_first(f, x, cfg.h, cfg.style)
-        if fp.norm <= cfg.eps:
+        if reference_norm(fp) <= cfg.eps:
             break
         x = x - fp * reference_scalar(cfg.rho, fp)
         trace.append(IterationRecord(k, x.raw, f(x).raw))
@@ -409,7 +441,7 @@ def reference_newton_iterates(f, x0: IntervalNumber, cfg):
     x = x0
     yield x
     for _ in range(cfg.max_iter):
-        if reference_fd_first(f, x, cfg.h, cfg.style).norm <= cfg.eps:
+        if reference_norm(reference_fd_first(f, x, cfg.h, cfg.style)) <= cfg.eps:
             return
         fp = reference_fd_first(f, x, cfg.h, cfg.style)
         fpp = reference_fd_second(f, x, cfg.h, cfg.style)

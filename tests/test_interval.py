@@ -18,6 +18,7 @@ from helpers import (
     reference_embed,
     reference_is_invertible,
     reference_neg,
+    reference_reads,
     reference_scalar,
     reference_scale,
     reference_sub,
@@ -399,6 +400,131 @@ def test_every_raw_read_is_a_fresh_collapse_bit_for_bit(monkeypatch):
         for _ in range(3):
             assert bits(x.raw._values()) == expected
     assert len(calls) == 3 * len(numbers)
+
+
+_READS = {
+    "min": lambda x: x.min,
+    "max": lambda x: x.max,
+    "width": lambda x: x.width,
+    "midpoint": lambda x: x.midpoint,
+    "norm": lambda x: x.norm,
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_float_reads_match_the_reference_collapse_bit_for_bit(order):
+    # min, max, width, midpoint, norm and abs() take their endpoints straight
+    # from the collapse kernel; they must give the pair formulas' bits on
+    # reference_collapse, and raise collapse's DomainError text where an
+    # endpoint is NaN.  Infinite coefficients come one time in twenty, and
+    # large finite ones overflow an endpoint without a NaN.
+    rng = random.Random(2100 + order)
+    vectors = [tuple(draw_coeff(rng) for _ in range(order)) for _ in range(3000)]
+    vectors += [
+        (1e308, 1e308) + (0.0,) * (order - 2),  # (1e308, inf)
+        (0.0, 0.0, 1e308, 1e308) + (0.0,) * (order - 4),  # (-inf, -1e308)
+    ]
+    if order > 4:
+        vectors.append((0.0,) * 4 + (math.inf,) + (0.0,) * (order - 5))  # (-inf, inf)
+    seen = set()
+    for coeffs in vectors:
+        x = ia.IntervalNumber(TRUE, ia.AlgebraElement(order, coeffs))
+        lo, hi = reference_collapse(x)
+        if lo != lo or hi != hi:
+            seen.add("nan")
+            with pytest.raises(DomainError) as want:
+                collapse(x.element)
+            reads = [*_READS.values(), abs, ia.exp, ia.log, ia.sqrt]
+            for read in reads:
+                with pytest.raises(DomainError) as got:
+                    read(x)
+                assert str(got.value) == str(want.value)
+            continue
+        seen.update(
+            name
+            for name, hit in (
+                ("improper", lo > hi),
+                ("signed zero", any(c == 0.0 and math.copysign(1.0, c) < 0 for c in coeffs)),
+                ("subnormal", any(0.0 < abs(c) < 2.2250738585072014e-308 for c in coeffs)),
+                ("infinite", math.isinf(lo) or math.isinf(hi)),
+                ("nan midpoint", math.isinf(lo) and lo == -hi),
+            )
+            if hit
+        )
+        want = reference_reads(x)
+        for name, read in _READS.items():
+            assert bits((read(x),)) == bits((want[name],)), (name, coeffs)
+        assert bits((abs(x),)) == bits((want["norm"],))
+    assert {"nan", "improper", "signed zero", "subnormal", "infinite"} <= seen
+    assert ("nan midpoint" in seen) == (order > 4)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("lift", (ia.exp, ia.log, ia.sqrt), ids=("exp", "log", "sqrt"))
+def test_lifts_run_the_collapse_kernel_once(monkeypatch, order, lift):
+    # A lift reads its argument's endpoints once: log and sqrt check their
+    # domain on the pair they lift.
+    algebra = sys.modules["intalg.algebra"]
+    x = interval(1.5, 2.5, order=order)
+    kernel = algebra._COLLAPSE[x.order]
+    kernel(x.coeffs)  # compile the order's kernels first
+    kernel = algebra._COLLAPSE[x.order]
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return kernel(a)
+
+    monkeypatch.setitem(algebra._COLLAPSE, x.order, counted)
+    lift(x)
+    assert calls == [x.coeffs]
+
+
+def test_float_reads_and_lifts_build_no_pair(monkeypatch):
+    # Only raw, canonical and what is printed build a GeneralizedInterval,
+    # through the module-level collapse.
+    module = sys.modules["intalg.interval"]
+
+    class PairBuilt(Exception):
+        pass
+
+    def no_pair(element):
+        raise PairBuilt
+
+    numbers = [
+        interval(lo, hi, order=order, mode=mode)
+        for order in ORDERS
+        for mode in (TRUE, SEM)
+        for lo, hi in ((0.5, 6.0), (6.0, 0.5), (2.0, 2.0))
+    ]
+    monkeypatch.setattr(module, "collapse", no_pair)
+    for x in numbers:
+        for read in (*_READS.values(), abs, ia.exp, ia.log, ia.sqrt):
+            read(x)
+        for read in (lambda x: x.raw, lambda x: x.canonical, str):
+            with pytest.raises(PairBuilt):
+                read(x)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_log_and_sqrt_domains_at_their_edges(order):
+    # log needs a canonical lo > 0 and sqrt one >= 0, on proper and improper
+    # pairs alike; outside, the message shows the canonical pair.
+    edges = (0.0, 5e-324, -5e-324, 1.0, -1.0)
+    for a in edges:
+        for b in (2.0, -2.0, *edges):
+            x = interval(a, b, order=order)
+            low = reference_reads(x)["min"]
+            for lift, name, ok, domain in (
+                (ia.log, "log", low > 0.0, "a strictly positive"),
+                (ia.sqrt, "sqrt", low >= 0.0, "a nonnegative"),
+            ):
+                if ok:
+                    lift(x)
+                    continue
+                with pytest.raises(DomainError) as exc:
+                    lift(x)
+                assert str(exc.value) == f"{name} requires {domain} interval, got {x}"
 
 
 def test_embed_proper_is_nonnegative():
