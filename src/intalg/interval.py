@@ -6,7 +6,7 @@ collapsing back to endpoints mid-computation would forfeit distributivity,
 so arithmetic here never does it implicitly.
 
 An ``IntervalNumber`` is one flat object: mode, order and coefficient tuple;
-its endpoint pair is collapsed on each read.  Its operators run the order's
+its endpoints are collapsed on each read.  Its operators run the order's
 generated kernels (``algebra._MUL``, ``_ADD``, ...) on coefficient tuples, a
 real operand goes straight to the coefficients of its point interval, and the
 ``AlgebraElement`` view is built only when asked for.  One dispatch,
@@ -172,7 +172,7 @@ def _endpoints(x: AlgebraElement | IntervalNumber) -> tuple[float, float]:
 
 def collapse(element: AlgebraElement) -> GeneralizedInterval:
     """Map a coefficient vector back to its endpoint pair (a lossy linear
-    map); DomainError when an endpoint comes out NaN, as in ``_endpoints``."""
+    map); raises DomainError when an endpoint comes out NaN."""
     return _pair(*_endpoints(element))  # the kernel's endpoints are floats already
 
 

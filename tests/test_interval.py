@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from itertools import chain
+from operator import attrgetter
 
 import pytest
 from helpers import (
@@ -402,13 +403,7 @@ def test_every_raw_read_is_a_fresh_collapse_bit_for_bit(monkeypatch):
     assert len(calls) == 3 * len(numbers)
 
 
-_READS = {
-    "min": lambda x: x.min,
-    "max": lambda x: x.max,
-    "width": lambda x: x.width,
-    "midpoint": lambda x: x.midpoint,
-    "norm": lambda x: x.norm,
-}
+_READS = {name: attrgetter(name) for name in ("min", "max", "width", "midpoint", "norm")}
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -434,8 +429,7 @@ def test_float_reads_match_the_reference_collapse_bit_for_bit(order):
             seen.add("nan")
             with pytest.raises(DomainError) as want:
                 collapse(x.element)
-            reads = [*_READS.values(), abs, ia.exp, ia.log, ia.sqrt]
-            for read in reads:
+            for read in (*_READS.values(), abs, ia.exp, ia.log, ia.sqrt):
                 with pytest.raises(DomainError) as got:
                     read(x)
                 assert str(got.value) == str(want.value)
@@ -466,8 +460,7 @@ def test_lifts_run_the_collapse_kernel_once(monkeypatch, order, lift):
     # domain on the pair they lift.
     algebra = sys.modules["intalg.algebra"]
     x = interval(1.5, 2.5, order=order)
-    kernel = algebra._COLLAPSE[x.order]
-    kernel(x.coeffs)  # compile the order's kernels first
+    algebra._COLLAPSE[x.order](x.coeffs)  # compile the order's kernels first
     kernel = algebra._COLLAPSE[x.order]
     calls = []
 
