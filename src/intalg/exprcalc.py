@@ -10,6 +10,10 @@ Grammar, lowest precedence first::
 Binary operators associate to the left.  Exponents are nonnegative integer
 literals; chained exponents associate to the right and are folded at parse
 time.  Positions in errors are 1-based.
+
+The text is tokenized in one ``findall`` pass into token texts, and the
+parser reads those; token positions are found only when a syntax error is
+raised, by matching the text again.
 """
 
 from __future__ import annotations
@@ -58,35 +62,56 @@ _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 _APPLY = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 
-class Num(_Record):
+def _depth_guarded(method, verb: str):
+    """A record method that recurses into the children, failing typed on a deep tree."""
+
+    def guarded(self, *args):
+        try:
+            return method(self, *args)
+        except RecursionError:
+            raise EvalError(f"expression nests too deeply to {verb}") from None
+
+    return guarded
+
+
+class _Node(_Record):
+    """Base of the expression nodes: ==, hash and repr of a tree too deep for
+    the recursion limit raise EvalError, as evaluate and unparse do."""
+
+    __eq__ = _depth_guarded(_Record.__eq__, "compare")
+    __hash__ = _depth_guarded(_Record.__hash__, "hash")
+    __repr__ = _depth_guarded(_Record.__repr__, "represent")
+
+
+class Num(_Node):
     value: float
 
 
-class IntervalLit(_Record):
+class IntervalLit(_Node):
     lo: float
     hi: float
 
 
-class Var(_Record):
+class Var(_Node):
     name: str
 
 
-class Neg(_Record):
+class Neg(_Node):
     operand: "ExprNode"
 
 
-class BinOp(_Record):
+class BinOp(_Node):
     op: str  # one of + - * /
     left: "ExprNode"
     right: "ExprNode"
 
 
-class Power(_Record):
+class Power(_Node):
     base: "ExprNode"
     exponent: int
 
 
-class Call(_Record):
+class Call(_Node):
     func: str
     arg: "ExprNode"
 
@@ -99,34 +124,34 @@ ExprNode = Union[Num, IntervalLit, Var, Neg, BinOp, Power, Call]
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<NUMBER>{_UNSIGNED_NUM})|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<OP>\*\*|[-+*/^()\[\],±]))"
+    rf"\s*({_UNSIGNED_NUM}|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()\[\],±])"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, 1-based position) triples ending in an END token.
+def _tokenize(text: str) -> list[str]:
+    """The token texts, ending in an empty END token.
 
-    A name or number has kind NAME or NUMBER; an operator's kind is its own
-    text, with '**' spelled '^'.
+    findall skips any character that starts no token, so the tokens must
+    cover every character that is not whitespace (the pattern's whitespace
+    is ``str.split``'s); when they do not, the match loop finds the first
+    stray character.
     """
-    tokens = []
-    pos = 0
-    while m := _TOKEN_RE.match(text, pos):
-        kind = m.lastgroup
-        tok = m[kind]
-        start = m.start(kind) + 1
-        if kind == "OP":
-            kind = "^" if tok == "**" else tok
-        tokens.append((kind, tok, start))
-        pos = m.end()
-    rest = text[pos:].lstrip()
-    if rest:
+    tokens = _TOKEN_RE.findall(text)
+    if sum(map(len, tokens)) != len("".join(text.split())):
+        pos = 0
+        while m := _TOKEN_RE.match(text, pos):
+            pos = m.end()
+        rest = text[pos:].lstrip()
         raise ExprSyntaxError(
             f"unexpected character {rest[0]!r}", len(text) - len(rest) + 1
         )
-    tokens.append(("END", "", len(text) + 1))
+    tokens.append("")
     return tokens
+
+
+def _is_number(token: str) -> bool:
+    # \d is any Unicode decimal digit, which is what isdecimal tests
+    return token[:1].isdecimal() or token[:1] == "."
 
 
 # ---------------------------------------------------------------------------
@@ -134,36 +159,51 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
+    """Precedence climbing over the token texts.  A token is a NUMBER when
+    _is_number says so, a NAME when it is an identifier, and otherwise an
+    operator, with '**' read as '^'; positions are found only for errors."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
 
     def peek(self) -> str:
-        return self.tokens[self.i][0]
+        return self.tokens[self.i]
 
-    def advance(self) -> tuple[str, str, int]:
+    def advance(self) -> str:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+    def error(self, message: str, i: int | None = None) -> ExprSyntaxError:
+        """A syntax error at token i, by default the last one read, positioned
+        by matching the text again; END sits just past the text."""
+        starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(self.text)]
+        starts.append(len(self.text) + 1)
+        return ExprSyntaxError(message, starts[self.i - 1 if i is None else i])
+
+    def expect(self, tok: str, what: str) -> None:
+        if self.advance() != tok:
+            raise self.error(f"expected {what}")
+
+    def number(self, what: str) -> float:
         tok = self.advance()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {what}", tok[2])
-        return tok
+        if not _is_number(tok):
+            raise self.error(f"expected {what}")
+        return float(tok)
 
     def parse(self) -> ExprNode:
         node = self.binary(1)
-        kind, text, pos = self.tokens[self.i]
-        if kind != "END":
-            raise ExprSyntaxError(f"unexpected {text!r}", pos)
+        if tok := self.peek():
+            raise self.error(f"unexpected {tok!r}", self.i)
         return node
 
     def binary(self, min_prec: int) -> ExprNode:
         """Precedence climbing over _BINARY: operators binding at least min_prec."""
         node = self.unary()
         while (prec := _BINARY.get(self.peek(), 0)) >= min_prec:
-            op = self.advance()[0]
+            op = self.advance()
             node = BinOp(op, node, self.binary(prec + 1))
         return node
 
@@ -172,84 +212,81 @@ class _Parser:
             self.i += 1
             return Neg(self.unary())
         base = self.primary()
-        if self.peek() == "^":
+        if self.peek() in ("^", "**"):
             self.i += 1
             return Power(base, self.exponent())
         return base
 
     def exponent(self) -> int:
-        kind, text, pos = self.advance()
-        value = float(text) if kind == "NUMBER" else math.nan
+        i, tok = self.i, self.advance()
+        value = float(tok) if _is_number(tok) else math.nan
         if value == math.inf:  # a literal past the float range, such as 1e400
-            raise ExprSyntaxError(f"exponent too large (> {_MAX_EXPONENT})", pos)
+            raise self.error(f"exponent too large (> {_MAX_EXPONENT})", i)
         if not value.is_integer():
-            raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
+            raise self.error("exponent must be a nonnegative integer", i)
         k = int(value)
-        if self.peek() == "^":
+        if self.peek() in ("^", "**"):
             self.i += 1
             e = self.exponent()
             # bail before materializing a huge integer
             k = k**e if k < 2 or e <= 20 else _MAX_EXPONENT + 1
         if k > _MAX_EXPONENT:
-            raise ExprSyntaxError(f"exponent too large (> {_MAX_EXPONENT})", pos)
+            raise self.error(f"exponent too large (> {_MAX_EXPONENT})", i)
         return k
 
     def primary(self) -> ExprNode:
-        kind, text, pos = self.advance()
-        if kind == "NUMBER":
-            center = float(text)
+        i, tok = self.i, self.advance()
+        if _is_number(tok):
+            center = float(tok)
             if self.peek() == "±":
                 self.i += 1
-                radius = float(self.expect("NUMBER", "a radius after '±'")[1])
-                return IntervalLit(*_finite(pos, center - radius, center + radius))
-            return Num(*_finite(pos, center))
-        if kind == "[":
+                radius = self.number("a radius after '±'")
+                return IntervalLit(*self.finite(i, center - radius, center + radius))
+            return Num(*self.finite(i, center))
+        if tok == "[":
             lo = self.signed_number()
             self.expect(",", "','")
             hi = self.signed_number()
             self.expect("]", "']'")
-            return IntervalLit(*_finite(pos, lo, hi))
-        if kind == "NAME":
+            return IntervalLit(*self.finite(i, lo, hi))
+        if tok.isidentifier():
             if self.peek() != "(":
-                return Var(text)
-            if text not in FUNCTIONS:
-                raise ExprSyntaxError(f"unknown function {text!r}", pos)
+                return Var(tok)
+            if tok not in FUNCTIONS:
+                raise self.error(f"unknown function {tok!r}", i)
             self.i += 1
             arg = self.binary(1)
             self.expect(")", "')'")
-            return Call(text, arg)
-        if kind == "(":
+            return Call(tok, arg)
+        if tok == "(":
             node = self.binary(1)
             self.expect(")", "')'")
             return node
-        raise ExprSyntaxError(
-            f"unexpected {text!r}" if text else "unexpected end of input", pos
-        )
+        raise self.error(f"unexpected {tok!r}" if tok else "unexpected end of input", i)
 
     def signed_number(self) -> float:
         sign = 1.0
         while self.peek() in ("+", "-"):
-            if self.advance()[0] == "-":
+            if self.advance() == "-":
                 sign = -sign
-        return sign * float(self.expect("NUMBER", "a number")[1])
+        return sign * self.number("a number")
 
-
-def _finite(pos: int, *values: float) -> tuple[float, ...]:
-    """A literal's values, unless one is infinite or NaN, such as 1e400."""
-    if all(map(math.isfinite, values)):
-        return values
-    raise ExprSyntaxError("literal is not finite", pos)
+    def finite(self, i: int, *values: float) -> tuple[float, ...]:
+        """A literal's values, unless one is infinite or NaN, such as 1e400;
+        i is the literal's first token."""
+        if all(map(math.isfinite, values)):
+            return values
+        raise self.error("literal is not finite", i)
 
 
 def parse(text: str) -> ExprNode:
     """Parse expression text into an AST or raise a positioned syntax error,
     also for nesting deeper than the interpreter's recursion limit allows."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     try:
         return parser.parse()
     except RecursionError:
-        pos = parser.tokens[parser.i - 1][2]  # the last token read
-        raise ExprSyntaxError("expression nests too deeply", pos) from None
+        raise parser.error("expression nests too deeply") from None  # at the last token read
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,12 @@ def _endpoints(x: AlgebraElement | IntervalNumber) -> tuple[float, float]:
     return lo, hi
 
 
+def _canonical_endpoints(x: IntervalNumber) -> tuple[float, float]:
+    """x's (lo, hi) off the collapse kernel, ordered as ``canonical`` orders them."""
+    lo, hi = _endpoints(x)
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
 def collapse(element: AlgebraElement) -> GeneralizedInterval:
     """Map a coefficient vector back to its endpoint pair (a lossy linear
     map); raises DomainError when an endpoint comes out NaN."""
@@ -337,9 +343,10 @@ class IntervalNumber(_Record):
     ``coeffs`` (a tuple of floats) hold the value, and nothing else is
     stored.  The operators run the order's coefficient kernels on ``coeffs``.
     ``min``, ``max``, ``width``, ``midpoint`` and ``norm`` are floats read off
-    the collapse kernel; ``element`` and the endpoint pairs ``raw`` and
-    ``canonical`` are built on each read.  ``IntervalNumber(mode, element)``
-    is the public constructor.
+    the collapse kernel, as are the endpoints that equality, hashing,
+    containment, ordering and semantic negation compare; ``element`` and the
+    endpoint pairs ``raw`` and ``canonical`` are built on each read.
+    ``IntervalNumber(mode, element)`` is the public constructor.
 
     Values are immutable; equality and ordering act on the canonical endpoint
     pair (two distinct elements can denote the same interval), while
@@ -375,13 +382,11 @@ class IntervalNumber(_Record):
 
     @property
     def min(self) -> float:
-        lo, hi = _endpoints(self)
-        return lo if lo <= hi else hi
+        return _canonical_endpoints(self)[0]
 
     @property
     def max(self) -> float:
-        lo, hi = _endpoints(self)
-        return hi if lo <= hi else lo
+        return _canonical_endpoints(self)[1]
 
     @property
     def width(self) -> float:
@@ -491,19 +496,18 @@ class IntervalNumber(_Record):
             # The point [v, v] collapses to exactly (v, v), so no embedding
             # is needed; nan equals nothing, inf only an overflowed interval.
             v = float(other)
-            c = self.canonical
-            return c.lo == v and c.hi == v
+            lo, hi = _canonical_endpoints(self)
+            return lo == v and hi == v
         if not isinstance(other, IntervalNumber):
             return NotImplemented
-        a, b = self.canonical, other.canonical
-        return a.lo == b.lo and a.hi == b.hi
+        return _canonical_endpoints(self) == _canonical_endpoints(other)  # never NaN
 
     def __hash__(self) -> int:
         # A point interval equals its scalar, so it must hash like one.
-        c = self.canonical
-        if c.lo == c.hi:
-            return hash(c.lo)
-        return hash((c.lo, c.hi))
+        lo, hi = _canonical_endpoints(self)
+        if lo == hi:
+            return hash(lo)
+        return hash((lo, hi))
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -531,12 +535,13 @@ class IntervalNumber(_Record):
         """Set containment of the canonical intervals."""
         if isinstance(other, (int, float)):
             v = float(other)
-            c = self.canonical
-            return c.lo <= v <= c.hi
+            lo, hi = _canonical_endpoints(self)
+            return lo <= v <= hi
         if not isinstance(other, IntervalNumber):
             raise TypeError(f"cannot compare IntervalNumber with {type(other)!r}")
-        a, b = self.canonical, other.canonical
-        return a.lo <= b.lo and b.hi <= a.hi
+        a_lo, a_hi = _canonical_endpoints(self)
+        b_lo, b_hi = _canonical_endpoints(other)
+        return a_lo <= b_lo and b_hi <= a_hi
 
 
 _number = IntervalNumber._make  # every result: a mode, an AlgebraOrder and floats
@@ -547,8 +552,8 @@ def _negated(x: IntervalNumber) -> tuple[float, ...]:
     semantic mode the embedding of the mirrored canonical pair."""
     if x.mode is ArithmeticMode.TRUE:
         return _NEG[x.order](x.coeffs)
-    c = x.canonical
-    return _embed_coeffs(-c.hi, -c.lo, x.order)
+    lo, hi = _canonical_endpoints(x)
+    return _embed_coeffs(-hi, -lo, x.order)
 
 
 def _reciprocal(v: IntervalNumber) -> tuple[float, ...]:
@@ -606,12 +611,12 @@ def compare(x: IntervalNumber, y: IntervalNumber) -> int:
     Ties on the deciding key fall through to the other key; a full tie means
     equal.  Returns -1, 0 or 1.
     """
-    a, b = x.canonical, y.canonical
-    nested = (a.lo <= b.lo and b.hi <= a.hi) or (b.lo <= a.lo and a.hi <= b.hi)
-    if nested:
-        keys = ((a.width, b.width), (a.midpoint, b.midpoint))
-    else:
-        keys = ((a.midpoint, b.midpoint), (a.width, b.width))
+    a_lo, a_hi = _canonical_endpoints(x)
+    b_lo, b_hi = _canonical_endpoints(y)
+    widths = (_width(a_lo, a_hi), _width(b_lo, b_hi))
+    midpoints = (_midpoint(a_lo, a_hi), _midpoint(b_lo, b_hi))
+    nested = (a_lo <= b_lo and b_hi <= a_hi) or (b_lo <= a_lo and a_hi <= b_hi)
+    keys = (widths, midpoints) if nested else (midpoints, widths)
     for ka, kb in keys:
         if ka < kb:
             return -1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import intalg as ia
 from intalg import ArithmeticMode, EvalError, ExprSyntaxError, evaluate, interval, parse, unparse
-from intalg.exprcalc import BinOp, Call, IntervalLit, Neg, Num, Power, Var
+from intalg.exprcalc import BinOp, Call, ExprNode, IntervalLit, Neg, Num, Power, Var
 
 TRUE = ArithmeticMode.TRUE
 SEM = ArithmeticMode.SEMANTIC
@@ -259,12 +259,17 @@ def test_parsing_is_total(text):
 # -- parity with the recursive-descent parser -------------------------------------
 
 # Pieces of token soups: numbers (Unicode digits and an overflowing one among
-# them), names, every operator spelling, whitespace and stray characters.
+# them), names, every operator spelling, whitespace and stray characters.  The
+# tokenizer finds a stray character by counting what findall skipped, so the
+# pieces include what \s, str.split, \d and isdecimal must agree on.
 SOUP_PIECES = (
     "1", "2", "0", "10", "2.5", ".5", "3.", "1e3", "2E-2", "1e", "1e400",
     "\u0663", "\u0661.\u0662", "x", "y", "exp", "log", "sqrt", "foo", "_a1", "e",
     "+", "-", "*", "/", "^", "**", "(", ")", "[", "]", ",", "\u00b1", "+-",
     " ", "  ", "\t", "\n", "\u3000", "\xa0", "$", ".",
+    # whitespace to both \s and str.split, two more Nd digits, a digit that
+    # is not decimal (a stray character), and a stray one after whitespace
+    "\x1c", "\u2028", "\uff11", "\U0001d7ce", "\u00b2", "x @",
 )
 
 
@@ -389,3 +394,33 @@ def test_deep_tree_is_an_eval_error():
         evaluate(ast, {"x": interval(1.0, 2.0)})
     with pytest.raises(EvalError, match="nests too deeply to print"):
         unparse(ast)
+
+
+def test_deep_tree_compares_hashes_and_prints_typed():
+    # node ==, hash() and repr() recurse through the children as well
+    ast, again = parse(DEEP_SUM), parse(DEEP_SUM)
+    assert ast == ast  # the same children: the tuple compare stops at identity
+    with pytest.raises(EvalError, match="nests too deeply to compare"):
+        ast == again
+    with pytest.raises(EvalError, match="nests too deeply to compare"):
+        ast != again
+    with pytest.raises(EvalError, match="nests too deeply to hash"):
+        hash(ast)
+    with pytest.raises(EvalError, match="nests too deeply to represent"):
+        repr(ast)
+    # a shallow tree keeps the record's equality, hash and repr
+    small = parse("x+1")
+    assert small == parse("x+1") and hash(small) == hash(parse("x+1")) and small != parse("x+2")
+    assert repr(small) == "BinOp(op='+', left=Var(name='x'), right=Num(value=1.0))"
+
+
+NODES = (Num(1.0), IntervalLit(0.0, 1.0), Var("x"), Neg(Var("x")),
+         BinOp("+", Var("x"), Num(1.0)), Power(Var("x"), 2), Call("exp", Var("x")))
+
+
+def test_every_node_class_has_vars():
+    # bench/tracer.py sizes every evaluated tree through vars(node); a slotted
+    # node class would turn each traced expr task into an untyped failure
+    assert {type(node) for node in NODES} == set(ExprNode.__args__)
+    for node in NODES:
+        assert vars(node) == dict(zip(node._fields, node._values()))

@@ -2,7 +2,7 @@ import math
 import random
 import sys
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, neg
 
 import pytest
 from helpers import (
@@ -475,7 +475,8 @@ def test_lifts_run_the_collapse_kernel_once(monkeypatch, order, lift):
 
 def test_float_reads_and_lifts_build_no_pair(monkeypatch):
     # Only raw, canonical and what is printed build a GeneralizedInterval,
-    # through the module-level collapse.
+    # through the module-level collapse: the float reads, the lifts, semantic
+    # negation and the comparisons read the collapse kernel's endpoints.
     module = sys.modules["intalg.interval"]
 
     class PairBuilt(Exception):
@@ -490,13 +491,67 @@ def test_float_reads_and_lifts_build_no_pair(monkeypatch):
         for mode in (TRUE, SEM)
         for lo, hi in ((0.5, 6.0), (6.0, 0.5), (2.0, 2.0))
     ]
+    compared = (
+        neg, lambda x: x - x, hash, lambda x: x == x, lambda x: x == 2.0,
+        lambda x: x.contains(x), lambda x: x.contains(2.0), lambda x: x < x,
+        lambda x: x >= 2.0, lambda x: compare(x, x),
+    )
     monkeypatch.setattr(module, "collapse", no_pair)
     for x in numbers:
-        for read in (*_READS.values(), abs, ia.exp, ia.log, ia.sqrt):
+        for read in (*_READS.values(), abs, ia.exp, ia.log, ia.sqrt, *compared):
             read(x)
         for read in (lambda x: x.raw, lambda x: x.canonical, str):
             with pytest.raises(PairBuilt):
                 read(x)
+
+
+def _read_outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except DomainError as err:
+        return ("error", str(err))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_comparisons_and_negation_read_the_canonical_pair_bit_for_bit(order):
+    # ==, hash, contains, compare and semantic negation order the kernel's
+    # endpoints themselves; they must agree with the same operations spelled
+    # on the canonical GeneralizedInterval, and raise its DomainError text.
+    rng = random.Random(2300 + order)
+
+    def pair_compare(a, b):
+        nested = (a.lo <= b.lo and b.hi <= a.hi) or (b.lo <= a.lo and a.hi <= b.hi)
+        keys = ((a.width, b.width), (a.midpoint, b.midpoint))
+        for ka, kb in keys if nested else keys[::-1]:
+            if ka < kb:
+                return -1
+            if ka > kb:
+                return 1
+        return 0  # also where a key is NaN, as for the pair [-inf, inf]
+
+    def pair_hash(a):
+        return hash(a.lo) if a.lo == a.hi else hash((a.lo, a.hi))
+
+    def pair_negated(a):
+        return bits(embed(-a.hi, -a.lo, order).coeffs)
+
+    vectors = [tuple(draw_coeff(rng) for _ in range(order)) for _ in range(1500)]
+    numbers = [ia.IntervalNumber(SEM, ia.AlgebraElement(order, c)) for c in vectors]
+    numbers += [interval(lo, hi, order=order, mode=SEM) for lo, hi in ((1, 3), (3, 1), (2, 2))]
+    for x in numbers:
+        y = rng.choice(numbers)
+        for z in (x, y):
+            assert _read_outcome(lambda: x == z) == _read_outcome(lambda: x.canonical == z.canonical)
+            assert _read_outcome(x.contains, z) == _read_outcome(
+                lambda: x.canonical.lo <= z.canonical.lo and z.canonical.hi <= x.canonical.hi
+            )
+            assert _read_outcome(compare, x, z) == _read_outcome(
+                lambda: pair_compare(x.canonical, z.canonical)
+            )
+        assert _read_outcome(hash, x) == _read_outcome(lambda: pair_hash(x.canonical))
+        assert _read_outcome(lambda: bits((-x).coeffs)) == _read_outcome(
+            lambda: pair_negated(x.canonical)
+        )
 
 
 @pytest.mark.parametrize("order", ORDERS)
