@@ -500,7 +500,8 @@ class IntervalNumber(_Record):
             return lo == v and hi == v
         if not isinstance(other, IntervalNumber):
             return NotImplemented
-        return _canonical_endpoints(self) == _canonical_endpoints(other)  # never NaN
+        # no endpoint is NaN, so comparing the tuples compares the floats
+        return _canonical_endpoints(self) == _canonical_endpoints(other)
 
     def __hash__(self) -> int:
         # A point interval equals its scalar, so it must hash like one.
