@@ -29,7 +29,7 @@ from .linalg import (
     power_iterate,
     schulz_invert,
 )
-from .optimize import FdStyle, OptimizerConfig, gradient_descent, newton_raphson
+from .optimize import _NEWTON_EPS, FdStyle, OptimizerConfig, gradient_descent, newton_raphson
 
 _ALGO_ERRORS = (ConvergenceError, NotInvertibleError, DomainError)
 
@@ -110,13 +110,8 @@ def _run_optimizer(args) -> int:
     f = _make_function(args.expr, mode, args.order)
     lo, hi = parse_interval_literal(args.x0)
     x0 = interval(lo, hi, order=args.order, mode=mode)
-    cfg = OptimizerConfig(
-        h=args.h,
-        rho=args.rho,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        style=FdStyle(args.style),
-    )
+    # the optimizer flags are named after the config fields they set
+    cfg = OptimizerConfig(**{name: getattr(args, name) for name in OptimizerConfig._fields})
     trace = None
     try:
         trace = args.runner(f, x0, cfg)
@@ -235,27 +230,29 @@ def build_parser() -> argparse.ArgumentParser:
     optimizer.add_argument("--expr", required=True, help="objective, e.g. 'x*exp(x)'")
     optimizer.add_argument("--x0", required=True, help="start interval, e.g. 2±0.1")
     optimizer.add_argument(
-        "--h", type=_finite_float, default=1e-6, help="finite-difference step"
+        "--h", type=_finite_float, default=OptimizerConfig.h, help="finite-difference step"
     )
     optimizer.add_argument(
         "--style",
         choices=[s.value for s in FdStyle],
-        default=FdStyle.MIDPOINT.value,
+        default=OptimizerConfig.style.value,
         help="finite-difference style",
     )
-    optimizer.add_argument("--max-iter", type=int, default=100_000)
+    optimizer.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter)
     optimizer.add_argument("--csv", help="write the iteration trace to this path")
     optimizer.set_defaults(handler=_run_optimizer, algo_exit=3)
     p = sub.add_parser(
         "gradient", parents=[optimizer], help="run gradient on an expression in x"
     )
-    p.add_argument("--rho", type=_finite_float, default=1e-2, help="step size")
-    p.add_argument("--eps", type=_finite_float, default=1e-6, help="derivative-norm stop")
+    p.add_argument("--rho", type=_finite_float, default=OptimizerConfig.rho, help="step size")
+    p.add_argument(
+        "--eps", type=_finite_float, default=OptimizerConfig.eps, help="derivative-norm stop"
+    )
     p.set_defaults(runner=gradient_descent)
     p = sub.add_parser(
         "newton", parents=[optimizer], help="run newton on an expression in x"
     )
-    p.add_argument("--eps", type=_finite_float, default=1e-10, help="derivative-norm stop")
+    p.add_argument("--eps", type=_finite_float, default=_NEWTON_EPS, help="derivative-norm stop")
     p.set_defaults(runner=newton_raphson, rho=OptimizerConfig.rho)
 
     matrix = argparse.ArgumentParser(add_help=False, parents=[common, raw])

@@ -1,4 +1,4 @@
-"""Tokenizer, precedence-climbing parser and evaluator for interval expressions.
+"""Precedence-climbing parser, printer and evaluator for interval expressions.
 
 Grammar, lowest precedence first::
 
@@ -11,15 +11,13 @@ Binary operators associate to the left.  Exponents are nonnegative integer
 literals; chained exponents associate to the right and are folded at parse
 time.  Positions in errors are 1-based.
 
-The text is tokenized in one ``findall`` pass into token texts, and the
-parser reads those; token positions are found only when a syntax error is
-raised, by matching the text again.
+Tokens and literals are read by ``interval._Reader``, which option values and
+matrix files share; this module adds the operators.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from operator import add, mul, sub, truediv
 from typing import Mapping, Union
 
@@ -28,8 +26,9 @@ from .errors import EvalError, ExprSyntaxError
 from .interval import (
     ArithmeticMode,
     IntervalNumber,
-    _UNSIGNED_NUM,
+    _Reader,
     _as_mode,
+    _is_number,
     exp,
     interval,
     log,
@@ -120,78 +119,12 @@ ExprNode = Union[Num, IntervalLit, Var, Neg, BinOp, Power, Call]
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    rf"\s*({_UNSIGNED_NUM}|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()\[\],±])"
-)
-
-
-def _tokenize(text: str) -> list[str]:
-    """The token texts, ending in an empty END token.
-
-    findall skips any character that starts no token, so the tokens must
-    cover every character that is not whitespace (the pattern's whitespace
-    is ``str.split``'s); when they do not, the match loop finds the first
-    stray character.
-    """
-    tokens = _TOKEN_RE.findall(text)
-    if sum(map(len, tokens)) != len("".join(text.split())):
-        pos = 0
-        while m := _TOKEN_RE.match(text, pos):
-            pos = m.end()
-        rest = text[pos:].lstrip()
-        raise ExprSyntaxError(
-            f"unexpected character {rest[0]!r}", len(text) - len(rest) + 1
-        )
-    tokens.append("")
-    return tokens
-
-
-def _is_number(token: str) -> bool:
-    # \d is any Unicode decimal digit, which is what isdecimal tests
-    return token[:1].isdecimal() or token[:1] == "."
-
-
-# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    """Precedence climbing over the token texts.  A token is a NUMBER when
-    _is_number says so, a NAME when it is an identifier, and otherwise an
-    operator, with '**' read as '^'; positions are found only for errors."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.i]
-
-    def advance(self) -> str:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message: str, i: int | None = None) -> ExprSyntaxError:
-        """A syntax error at token i, by default the last one read, positioned
-        by matching the text again; END sits just past the text."""
-        starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(self.text)]
-        starts.append(len(self.text) + 1)
-        return ExprSyntaxError(message, starts[self.i - 1 if i is None else i])
-
-    def expect(self, tok: str, what: str) -> None:
-        if self.advance() != tok:
-            raise self.error(f"expected {what}")
-
-    def number(self, what: str) -> float:
-        tok = self.advance()
-        if not _is_number(tok):
-            raise self.error(f"expected {what}")
-        return float(tok)
+class _Parser(_Reader):
+    """Precedence climbing over the reader's tokens: one that is not a NUMBER
+    is a NAME when it is an identifier, else an operator ('**' reads as '^')."""
 
     def parse(self) -> ExprNode:
         node = self.binary(1)
@@ -237,18 +170,10 @@ class _Parser:
     def primary(self) -> ExprNode:
         i, tok = self.i, self.advance()
         if _is_number(tok):
-            center = float(tok)
-            if self.peek() == "±":
-                self.i += 1
-                radius = self.number("a radius after '±'")
-                return IntervalLit(*self.finite(i, center - radius, center + radius))
-            return Num(*self.finite(i, center))
+            values = self.ball(i, float(tok))
+            return Num(*values) if len(values) == 1 else IntervalLit(*values)
         if tok == "[":
-            lo = self.signed_number()
-            self.expect(",", "','")
-            hi = self.signed_number()
-            self.expect("]", "']'")
-            return IntervalLit(*self.finite(i, lo, hi))
+            return IntervalLit(*self.bracket(i))
         if tok.isidentifier():
             if self.peek() != "(":
                 return Var(tok)
@@ -263,20 +188,6 @@ class _Parser:
             self.expect(")", "')'")
             return node
         raise self.error(f"unexpected {tok!r}" if tok else "unexpected end of input", i)
-
-    def signed_number(self) -> float:
-        sign = 1.0
-        while self.peek() in ("+", "-"):
-            if self.advance() == "-":
-                sign = -sign
-        return sign * self.number("a number")
-
-    def finite(self, i: int, *values: float) -> tuple[float, ...]:
-        """A literal's values, unless one is infinite or NaN, such as 1e400;
-        i is the literal's first token."""
-        if all(map(math.isfinite, values)):
-            return values
-        raise self.error("literal is not finite", i)
 
 
 def parse(text: str) -> ExprNode:

@@ -15,6 +15,9 @@ the lifted functions and semantic negation alike, and ``collapse`` builds its
 ``GeneralizedInterval`` with the record's trusted ``_make``, so the hot paths
 build no element and convert no float twice.
 
+Interval text has one grammar: ``_Reader`` reads the tokens and literals of
+expressions (``exprcalc``), option values and matrix files (``linalg``).
+
 Two subtraction semantics coexist:
 
 * ``TRUE``      - subtraction is coefficientwise, so x - x == [0, 0] and
@@ -53,6 +56,7 @@ from .algebra import (
 from .errors import (
     DivisionNotAllowedError,
     DomainError,
+    ExprSyntaxError,
     ModeMismatchError,
     NotInvertibleError,
     OrderMismatchError,
@@ -777,31 +781,123 @@ def write_trace_csv(path: str, trace: tuple[IterationRecord, ...]) -> None:
             fh.write(",".join(cols) + "\n")
 
 
-# The unsigned number syntax, shared with the expression tokenizer.
-_UNSIGNED_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_NUM = rf"[+-]?{_UNSIGNED_NUM}"
-_BRACKET_RE = re.compile(rf"^\[\s*({_NUM})\s*,\s*({_NUM})\s*\]$")
-_BALL_RE = re.compile(rf"^({_NUM})\s*(?:±|\+-)\s*({_NUM})$")
-_BARE_RE = re.compile(rf"^({_NUM})$")
+# ---------------------------------------------------------------------------
+# Text: the tokenizer and literal rules of expressions, options and matrices
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"\s*((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()\[\],±])"
+)
+
+
+def _tokenize(text: str) -> list[str]:
+    """The token texts, ending in an empty END token.  findall skips what
+    starts no token, so the tokens must cover every character but whitespace
+    (the pattern's is ``str.split``'s); if not, the match loop finds the
+    first stray character."""
+    tokens = _TOKEN_RE.findall(text)
+    if sum(map(len, tokens)) != len("".join(text.split())):
+        pos = 0
+        while m := _TOKEN_RE.match(text, pos):
+            pos = m.end()
+        rest = text[pos:].lstrip()
+        raise ExprSyntaxError(
+            f"unexpected character {rest[0]!r}", len(text) - len(rest) + 1
+        )
+    tokens.append("")
+    return tokens
+
+
+def _is_number(token: str) -> bool:
+    # \d is any Unicode decimal digit, which is what isdecimal tests
+    return token[:1].isdecimal() or token[:1] == "."
+
+
+class _Reader:
+    """A cursor over the token texts, with the literal rules; literal i starts
+    at token i.  1-based positions are found only for errors."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i]
+
+    def advance(self) -> str:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, message: str, i: int | None = None) -> ExprSyntaxError:
+        """A syntax error at token i, by default the last one read (END: past the text)."""
+        starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(self.text)]
+        starts.append(len(self.text) + 1)
+        return ExprSyntaxError(message, starts[self.i - 1 if i is None else i])
+
+    def expect(self, tok: str, what: str) -> None:
+        if self.advance() != tok:
+            raise self.error(f"expected {what}")
+
+    def number(self, what: str) -> float:
+        tok = self.advance()
+        if not _is_number(tok):
+            raise self.error(f"expected {what}")
+        return float(tok)
+
+    def signed_number(self) -> float:
+        sign = 1.0
+        while self.peek() in ("+", "-"):
+            if self.advance() == "-":
+                sign = -sign
+        return sign * self.number("a number")
+
+    def finite(self, i: int, *values: float) -> tuple[float, ...]:
+        """Literal i's values, unless one is infinite or NaN, such as 1e400."""
+        if all(map(math.isfinite, values)):
+            return values
+        raise self.error("literal is not finite", i)
+
+    def bracket(self, i: int) -> tuple[float, ...]:
+        """'[' a ',' b ']', read after its '[', token i."""
+        lo = self.signed_number()
+        self.expect(",", "','")
+        hi = self.signed_number()
+        self.expect("]", "']'")
+        return self.finite(i, lo, hi)
+
+    def ball(self, i: int, center: float) -> tuple[float, ...]:
+        """Literal i: center, or center ± radius, the radius unsigned."""
+        if self.peek() != "±":
+            return self.finite(i, center)
+        self.i += 1
+        radius = self.number("a radius after '±'")
+        return self.finite(i, center - radius, center + radius)
+
+    def literal(self, ends: tuple[str, ...] = ("",)) -> tuple[float, ...]:
+        """An option value's literal, then a token in ends: [a,b], or signs, c and maybe ±e."""
+        i = self.i
+        if self.peek() == "[":
+            self.i += 1
+            values = self.bracket(i)
+        else:
+            values = self.ball(i, self.signed_number())
+        if self.peek() not in ends:
+            raise self.error(f"unexpected {self.peek()!r}", self.i)
+        return values if len(values) == 2 else values * 2
+
+
+def _option_reader(text: str) -> _Reader:
+    """Option values and matrix lines spell '±' as touching '+-' (padded: positions hold)."""
+    return _Reader(text.replace("+-", "± "))
 
 
 def parse_interval_literal(text: str) -> tuple[float, float]:
-    """Parse "[a,b]", "c±e" (ASCII synonym "c+-e") or a bare number.
-
-    Raises ValueError for malformed text and for endpoints that are not finite.
-    """
-    s = text.strip()
-    if m := _BRACKET_RE.match(s):
-        lo, hi = float(m[1]), float(m[2])
-    elif m := _BALL_RE.match(s):
-        c, e = float(m[1]), float(m[2])
-        if e < 0:
-            raise ValueError(f"negative radius in interval literal: {text!r}")
-        lo, hi = c - e, c + e
-    elif m := _BARE_RE.match(s):
-        lo = hi = float(m[1])
-    else:
-        raise ValueError(f"invalid interval literal: {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"interval literal is not finite: {text!r}")
-    return lo, hi
+    """Parse "[a,b]", "c±e" (ASCII synonym "c+-e") or a number c, c with any
+    signs; raise ValueError, with the reader's position, for malformed text
+    and for endpoints that are not finite."""
+    try:
+        return _option_reader(text).literal()
+    except ExprSyntaxError as err:
+        raise ValueError(f"invalid interval literal {text!r}: {err}") from None

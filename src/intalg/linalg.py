@@ -35,6 +35,7 @@ from .errors import (
     ConvergenceError,
     DivisionNotAllowedError,
     DomainError,
+    ExprSyntaxError,
     ModeMismatchError,
     OrderMismatchError,
     ShapeMismatchError,
@@ -45,10 +46,10 @@ from .interval import (
     IntervalNumber,
     IterationRecord,
     _number,
+    _option_reader,
     _reciprocal,
     format_interval,
     interval,
-    parse_interval_literal,
     sqrt,
 )
 
@@ -484,23 +485,18 @@ def schulz_invert(
 # Text form: one row per line, entries comma separated, interval literals
 # ---------------------------------------------------------------------------
 
-def _split_entries(line: str) -> list[str]:
-    # Commas inside [..] belong to the literal, not the row.
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in line:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p for p in (s.strip() for s in parts) if p]
+def _row_literals(number: int, line: str) -> list[tuple[float, ...]]:
+    """Matrix line ``number``'s pairs: literals, comma separated, empty entries skipped."""
+    try:
+        reader, pairs = _option_reader(line), []
+        while tok := reader.peek():
+            if tok == ",":
+                reader.advance()
+            else:
+                pairs.append(reader.literal((",", "")))
+        return pairs
+    except ExprSyntaxError as err:
+        raise ValueError(f"matrix text line {number}: {err}") from None
 
 
 def parse_matrix_text(
@@ -508,17 +504,14 @@ def parse_matrix_text(
     order: int | AlgebraOrder = 4,
     mode: ArithmeticMode = ArithmeticMode.TRUE,
 ) -> IntervalMatrix:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise ShapeMismatchError("matrix text contained no rows")
     # IntervalMatrix wraps each row as it is parsed, so the first bad line
     # raises first, be it an empty row or a bad literal.
     return IntervalMatrix(
-        [
-            interval(*parse_interval_literal(tok), order=order, mode=mode)
-            for tok in _split_entries(line)
-        ]
-        for line in lines
+        [interval(*pair, order=order, mode=mode) for pair in _row_literals(n, line)]
+        for n, line in lines
     )
 
 

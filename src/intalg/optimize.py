@@ -29,6 +29,8 @@ __all__ = [
 
 IntervalFunction = Callable[[IntervalNumber], IntervalNumber]
 
+_NEWTON_EPS = 1e-10  # newton_raphson's eps; its other defaults are OptimizerConfig's
+
 
 class FdStyle(Enum):
     """How finite differences are evaluated.
@@ -235,7 +237,7 @@ def newton_raphson(
     in midpoint style, so an iteration makes 4 evaluations (midpoint) or 3
     (full).
     """
-    cfg = cfg or OptimizerConfig(eps=1e-10)
+    cfg = cfg or OptimizerConfig(eps=_NEWTON_EPS)
 
     def step(x, c, up, down, fp, fx) -> IntervalNumber:
         h2 = _h_squared(cfg.h)

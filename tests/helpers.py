@@ -780,3 +780,75 @@ def reference_parse(text: str):
     reports "exponent too large".
     """
     return _Parser(_tokenize(text)).parse()
+
+
+# -- interval literal oracle ----------------------------------------------------
+#
+# The regex reader of option values that ``intalg.interval._Reader`` replaced,
+# frozen as the oracle for which texts read as which endpoint pairs.
+
+_REF_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_REF_BRACKET_RE = re.compile(rf"^\[\s*({_REF_NUM})\s*,\s*({_REF_NUM})\s*\]$")
+_REF_BALL_RE = re.compile(rf"^({_REF_NUM})\s*(?:±|\+-)\s*({_REF_NUM})$")
+_REF_BARE_RE = re.compile(rf"^({_REF_NUM})$")
+
+
+def reference_parse_interval_literal(text: str) -> tuple[float, float]:
+    """Parse "[a,b]", "c±e" (ASCII synonym "c+-e") or a bare number.
+
+    Raises ValueError for malformed text and for endpoints that are not finite.
+    """
+    s = text.strip()
+    if m := _REF_BRACKET_RE.match(s):
+        lo, hi = float(m[1]), float(m[2])
+    elif m := _REF_BALL_RE.match(s):
+        c, e = float(m[1]), float(m[2])
+        if e < 0:
+            raise ValueError(f"negative radius in interval literal: {text!r}")
+        lo, hi = c - e, c + e
+    elif m := _REF_BARE_RE.match(s):
+        lo = hi = float(m[1])
+    else:
+        raise ValueError(f"invalid interval literal: {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval literal is not finite: {text!r}")
+    return lo, hi
+
+
+# Pieces of literal soups: numbers (Unicode digits, an overflowing one and one
+# whose ball overflows among them), signs, both ball spellings, the two
+# characters of '+-' spaced apart, brackets, commas, whitespace and strays.
+LITERAL_NUMBERS = ("1", "2", "0", "2.5", ".5", "3.", "1e3", "2E-2", "1e400", "1e308",
+                   "٣", "١.٢", "１")
+LITERAL_PIECES = LITERAL_NUMBERS + (
+    "+", "-", "±", "+-", "+ -", "+\t-", "[", "]", ",", " ", "\t", "　", "\xa0",
+    "\x1c", "\n", "x", "e", "1e", ";", ".",
+)
+
+
+def literal_soup(rng) -> str:
+    """Text shaped like an interval literal or a near miss of one: a token
+    soup, or a number, bracket or ball whose numbers carry random signs and
+    spacing, with at times one more piece put in."""
+
+    def gap():
+        return rng.choice(("", "", " ", "\t", "　"))
+
+    def number():
+        signs = "".join(rng.choices(("+", "-", "-", " "), k=rng.choice((0, 0, 1, 1, 2, 3))))
+        return signs + rng.choice(LITERAL_NUMBERS)
+
+    r = rng.random()
+    if r < 0.3:
+        text = "".join(rng.choices(LITERAL_PIECES, k=rng.randint(1, 8)))
+    elif r < 0.5:
+        text = gap() + number() + gap()
+    elif r < 0.75:
+        text = f"{gap()}[{gap()}{number()}{gap()},{gap()}{number()}{gap()}]{gap()}"
+    else:
+        op = rng.choice(("±", "+-", "+-", "+ -", "+", "-"))
+        text = f"{gap()}{number()}{gap()}{op}{gap()}{number()}{gap()}"
+    if rng.random() < 0.2:
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(LITERAL_PIECES) + text[i:]
+    return text

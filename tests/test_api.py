@@ -74,6 +74,22 @@ def test_peer_modules_do_not_import_each_other(module):
     assert not _sibling_imports(module) & (set(PEERS) - {module})
 
 
+
+def test_the_tokenizer_is_the_only_regex():
+    # one grammar for literals: option values, matrix files and expressions
+    # all read through interval._TOKEN_RE
+    patterns = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "re"
+    ]
+    assert len(patterns) == 1 and patterns[0].startswith("interval.py:"), patterns
+
+
 def test_no_assert_statements():
     # python -O strips asserts; failures must raise a typed IntalgError.
     found = [

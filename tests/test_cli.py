@@ -454,6 +454,44 @@ def test_matrix_file_shape_error(tmp_path, capsys):
     assert code == 2 and "rows" in err
 
 
+def test_matrix_file_literal_error_names_line_and_position(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("[1,1],[0,0]\n[0,0],[1;1]\n")
+    code, out, err = run_cli(capsys, "invert", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: matrix text line 2: unexpected character ';' (at position 9)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("calc", "--let", "x=[1;2]", "x"), "'[1;2]': unexpected character ';' (at position 3)"),
+        (("compare-mul", "--x", "2 + - 1", "--y", "1"), "'2 + - 1': unexpected '+' (at position 3)"),
+        (("newton", "--expr", "x", "--x0", "2±+1"), "'2±+1': expected a radius after '±' (at position 3)"),
+    ),
+)
+def test_option_literal_error_carries_the_position(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid interval literal {message}\n"
+
+
+@pytest.mark.parametrize("command", ("gradient", "newton"))
+def test_optimizer_flag_defaults_are_the_library_defaults(monkeypatch, command):
+    # the config the command line builds from its defaults is the one the
+    # library uses when called with none
+    seen = []
+    monkeypatch.setattr(ia.optimize, "_descend", lambda f, x0, cfg, step: seen.append(cfg))
+    runner = {"gradient": ia.gradient_descent, "newton": ia.newton_raphson}[command]
+    runner(None, None)
+    args = cli.build_parser().parse_args([command, "--expr", "x", "--x0", "1"])
+    assert args.runner is runner
+    cfg = ia.OptimizerConfig(
+        h=args.h, rho=args.rho, eps=args.eps, max_iter=args.max_iter, style=args.style
+    )
+    assert seen == [cfg]
+
+
 @pytest.mark.parametrize("command", ("eigen", "invert"))
 def test_eps_with_a_matrix_file_exits_2(tmp_path, capsys, command):
     # --eps is the entry radius of --demo matrices; a file's literals carry

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import reference_parse
+from helpers import literal_soup, reference_parse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -340,6 +340,27 @@ def test_parse_matches_the_recursive_descent_reference():
     for text in CORPUS_TEXTS + ["x*+", "x*(1+2", "x$2", "x^-2", "x^2.5", "x^y",
                                 "foo(x)", "x^2^21", "2^3^2", "-x^2", "[-1.5, 2e1]"]:
         _assert_same_parse(text)
+
+
+
+@pytest.mark.parametrize("mode", (TRUE, SEM))
+def test_literals_read_alike_as_option_values_and_in_expressions(mode):
+    # '+-' is a ball only in option values; any other text that both read
+    # must be the same interval, or one spelling would be silently misread
+    rng = random.Random(2011)
+    compared = 0
+    for _ in range(10_000):
+        text = literal_soup(rng)
+        if "+-" in text:
+            continue
+        try:
+            pair = ia.parse_interval_literal(text)
+            tree = parse(text)
+        except (ValueError, ExprSyntaxError):
+            continue
+        assert interval(*pair, mode=mode).canonical == evaluate(tree, mode=mode).canonical, text
+        compared += 1
+    assert compared > 1000, compared
 
 
 @pytest.mark.parametrize("text", ("x^1e400", "x^1e400^0", "x^1e400^y"))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from itertools import chain
 from operator import attrgetter, neg
@@ -12,6 +13,7 @@ from helpers import (
     draw_float,
     inf_norm,
     leq_ulps,
+    literal_soup,
     reference_add,
     reference_alg_inv,
     reference_alg_mul,
@@ -19,6 +21,7 @@ from helpers import (
     reference_embed,
     reference_is_invertible,
     reference_neg,
+    reference_parse_interval_literal,
     reference_reads,
     reference_scalar,
     reference_scale,
@@ -1173,6 +1176,82 @@ def test_parse_interval_literal():
     for non_finite in ("[0,1e400]", "[-1e400,0]", "1e400", "1e308±1e308", "0±1e400"):
         with pytest.raises(ValueError, match="finite"):
             parse_interval_literal(non_finite)
+
+
+@pytest.mark.parametrize(
+    "text, pair",
+    (
+        ("--5", (5.0, 5.0)),
+        ("- 5", (-5.0, -5.0)),
+        ("[--1, - 2]", (1.0, -2.0)),
+        ("2 +- 0.1", (1.9, 2.1)),
+        ("-2+- 1", (-3.0, -1.0)),
+    ),
+)
+def test_literal_signs_and_spacing(text, pair):
+    assert parse_interval_literal(text) == pair
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    (
+        ("[1;2]", "unexpected character ';' (at position 3)"),
+        ("2 + - 0.1", "unexpected '+' (at position 3)"),  # '+-' only when touching
+        ("2±+1", "expected a radius after '±' (at position 3)"),
+        ("1+--0e5", "expected a radius after '±' (at position 4)"),
+        ("-[1,2]", "expected a number (at position 2)"),
+        ("[1,2] 3", "unexpected '3' (at position 7)"),
+        ("1e308±1e308", "literal is not finite (at position 1)"),
+    ),
+)
+def test_literal_errors_carry_the_position(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_interval_literal(text)
+    assert str(exc.value) == f"invalid interval literal {text!r}: {message}"
+
+
+_SIGN_RUN = re.compile(r"(^|[\[,])(\s*)([+-][+\-\s]*)")
+
+
+def _fold_signs(text):
+    """text with each run of signs and whitespace before a number, at the
+    start or after '[' or ',', written as the one sign it amounts to."""
+    return _SIGN_RUN.sub(lambda m: m[1] + m[2] + "+-"[m[3].count("-") % 2], text)
+
+
+def _literal_outcome(parse_fn, text):
+    try:
+        return tuple(map(float.hex, parse_fn(text)))  # tells -0.0 from 0.0
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def test_literals_match_the_regex_reference():
+    rng = random.Random(2011)
+    differences = {"signs": 0, "signed radius": 0}
+    for _ in range(40_000):
+        text = literal_soup(rng)
+        want = _literal_outcome(reference_parse_interval_literal, text)
+        got = _literal_outcome(parse_interval_literal, text)
+        if got[0] == "ValueError":
+            # every refusal names where the reader stopped
+            position = int(re.search(r"\(at position (\d+)\)$", got[1])[1])
+            assert 1 <= position <= len(text) + 1, text
+        if want[0] == got[0] == "ValueError" or got == want:
+            continue
+        if want[0] == "ValueError":
+            # an intended difference: a run of signs and whitespace before a
+            # number reads as the one sign it amounts to (--5 is 5, - 5 is
+            # -5), where the reference takes one sign with no space after it
+            assert _fold_signs(text) != text, text
+            assert _literal_outcome(reference_parse_interval_literal, _fold_signs(text)) == got, text
+            differences["signs"] += 1
+        else:
+            # the other one: the radius is unsigned, as in an expression, so
+            # 2±+1 and 1+--0e5 are refused where the reference read a sign
+            assert re.search(r"(±|\+-)\s*[+-]", text) and "a radius" in got[1], text
+            differences["signed radius"] += 1
+    assert differences["signs"] > 1000 and differences["signed radius"] > 100, differences
 
 
 def test_format_number_session_style():

@@ -875,6 +875,31 @@ def test_parse_matrix_text_errors():
         parse_matrix_text("1,2\n , \n[1,2],oops")
 
 
+def test_parse_matrix_text_reads_rows_as_literals():
+    # entries are the literals of option values, +- among them; commas inside
+    # brackets belong to the literal, and empty entries are skipped
+    m = parse_matrix_text(",[1, 2],, 3 +- 0.5 ,\n--4, [5,6]\n")
+    assert [[e.canonical for e in row] for row in m.rows] == [
+        [ia.GeneralizedInterval(1, 2), ia.GeneralizedInterval(2.5, 3.5)],
+        [ia.GeneralizedInterval(4, 4), ia.GeneralizedInterval(5, 6)],
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    (
+        ("[1,2],[3,4]\n[5,6],oops", "line 2: expected a number (at position 7)"),
+        ("1,2\n\n3 4,5", "line 3: unexpected '4' (at position 3)"),
+        ("[1;2]", "line 1: unexpected character ';' (at position 3)"),
+        ("1,[2,3],\n1,[2,3", "line 2: expected ']' (at position 7)"),
+    ),
+)
+def test_parse_matrix_text_errors_name_line_and_position(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_matrix_text(text)
+    assert str(exc.value) == f"matrix text {message}"
+
+
 def test_format_matrix_session_layout():
     m = deg_matrix(M2, eps=0.1)
     out = format_matrix(m)
