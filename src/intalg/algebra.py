@@ -197,38 +197,20 @@ _GENERATORS = {
     AlgebraOrder.ORDER_7: _GENERATORS_7,
 }
 
-# Multiplication tables: entry [i][j] is the index of the generator equal to
-# the set product of generators i and j.  0-based indices.
-_TABLE_4 = (
-    (0, 1, 2, 3),
-    (1, 1, 2, 2),
-    (2, 2, 1, 1),
-    (3, 2, 1, 0),
-)
 
-_TABLE_5 = (
-    (0, 1, 2, 3, 4),
-    (1, 1, 2, 2, 4),
-    (2, 2, 1, 1, 4),
-    (3, 2, 1, 0, 4),
-    (4, 4, 4, 4, 4),
-)
+def _product_table(generators) -> tuple[tuple[int, ...], ...]:
+    """Multiplication table of a generator list: entry [i][j] is the index
+    (0-based) of the generator equal to the set product of generators i and
+    j.  ValueError if the list is not closed under set products."""
+    index = {g: k for k, g in enumerate(generators)}
+    ends = [[(a * c, a * d, b * c, b * d) for c, d in generators] for a, b in generators]
+    table = tuple(tuple(index.get((min(e), max(e))) for e in row) for row in ends)
+    if any(None in row for row in table):
+        raise ValueError("the generators are not closed under set products")
+    return table
 
-_TABLE_7 = (
-    (0, 1, 2, 3, 4, 5, 6),
-    (1, 1, 2, 2, 4, 5, 6),
-    (2, 2, 1, 1, 4, 6, 5),
-    (3, 2, 1, 0, 4, 6, 5),
-    (4, 4, 4, 4, 4, 4, 4),
-    (5, 5, 6, 6, 4, 6, 5),
-    (6, 6, 5, 5, 4, 5, 6),
-)
 
-_TABLES = {
-    AlgebraOrder.ORDER_4: _TABLE_4,
-    AlgebraOrder.ORDER_5: _TABLE_5,
-    AlgebraOrder.ORDER_7: _TABLE_7,
-}
+_TABLES = {order: _product_table(gens) for order, gens in _GENERATORS.items()}
 
 # Product schedules: one (k, i, j) triple per unordered index pair i <= j,
 # i ascending and j ascending within each i; k = table[i][j] is the target.

@@ -13,6 +13,7 @@ from .exprcalc import evaluate, parse
 from .interval import (
     ArithmeticMode,
     GeneralizedInterval,
+    _option_reader,
     format_interval,
     format_number,
     interval,
@@ -21,6 +22,8 @@ from .interval import (
     write_trace_csv,
 )
 from .linalg import (
+    _SCHULZ_MAX_ITER,
+    _SCHULZ_TOL,
     IntervalMatrix,
     IntervalVector,
     format_matrix,
@@ -43,15 +46,25 @@ def _fmt(args, x) -> str:
     return format_interval(x.raw, raw=args.raw)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of the real-valued flags: NaN and infinities are bad input."""
+def _flag_number(text: str) -> float:
+    """argparse type of the real-valued flags: signs and one finite number, as
+    option literals spell them, so '1_0e-6', 'nan' and 'inf' are bad input."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        reader = _option_reader(text)
+        value = reader.signed_number()
+        if math.isfinite(value) and not reader.peek():
+            return value
+    except IntalgError:  # the reader's ExprSyntaxError
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _flag_count(text: str) -> int:
+    """argparse type of the count flags: a number read as _flag_number reads it, and whole."""
+    value = _flag_number(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected a finite whole number, got {text!r}")
+    return int(value)
 
 
 def _parse_binding(text: str) -> tuple[str, tuple[float, float]]:
@@ -193,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--order",
-        type=int,
+        type=_flag_count,
         choices=[int(o) for o in AlgebraOrder],
         default=4,
         help="algebra order (default: 4; division needs 4)",
@@ -230,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimizer.add_argument("--expr", required=True, help="objective, e.g. 'x*exp(x)'")
     optimizer.add_argument("--x0", required=True, help="start interval, e.g. 2±0.1")
     optimizer.add_argument(
-        "--h", type=_finite_float, default=OptimizerConfig.h, help="finite-difference step"
+        "--h", type=_flag_number, default=OptimizerConfig.h, help="finite-difference step"
     )
     optimizer.add_argument(
         "--style",
@@ -238,21 +251,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=OptimizerConfig.style.value,
         help="finite-difference style",
     )
-    optimizer.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter)
+    optimizer.add_argument("--max-iter", type=_flag_count, default=OptimizerConfig.max_iter)
     optimizer.add_argument("--csv", help="write the iteration trace to this path")
     optimizer.set_defaults(handler=_run_optimizer, algo_exit=3)
     p = sub.add_parser(
         "gradient", parents=[optimizer], help="run gradient on an expression in x"
     )
-    p.add_argument("--rho", type=_finite_float, default=OptimizerConfig.rho, help="step size")
+    p.add_argument("--rho", type=_flag_number, default=OptimizerConfig.rho, help="step size")
     p.add_argument(
-        "--eps", type=_finite_float, default=OptimizerConfig.eps, help="derivative-norm stop"
+        "--eps", type=_flag_number, default=OptimizerConfig.eps, help="derivative-norm stop"
     )
     p.set_defaults(runner=gradient_descent)
     p = sub.add_parser(
         "newton", parents=[optimizer], help="run newton on an expression in x"
     )
-    p.add_argument("--eps", type=_finite_float, default=_NEWTON_EPS, help="derivative-norm stop")
+    p.add_argument("--eps", type=_flag_number, default=_NEWTON_EPS, help="derivative-norm stop")
     p.set_defaults(runner=newton_raphson, rho=OptimizerConfig.rho)
 
     matrix = argparse.ArgumentParser(add_help=False, parents=[common, raw])
@@ -261,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--demo", choices=sorted(DEMO_MATRICES))
     matrix.add_argument(
         "--eps",
-        type=_finite_float,
+        type=_flag_number,
         help="entry radius for --demo matrices (default: 0)",
     )
     matrix.set_defaults(algo_exit=3)
     p = sub.add_parser(
         "eigen", parents=[matrix], help="power iteration on an interval matrix"
     )
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--iters", type=_flag_count, default=10)
     p.add_argument("--csv", help="write per-iteration eigenvalue bounds")
     p.set_defaults(handler=_cmd_eigen)
     p = sub.add_parser(
@@ -276,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[matrix],
         help="Schulz-Hotelling inversion of an interval matrix",
     )
-    p.add_argument("--tol", type=_finite_float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--tol", type=_flag_number, default=_SCHULZ_TOL)
+    p.add_argument("--max-iter", type=_flag_count, default=_SCHULZ_MAX_ITER)
     p.set_defaults(handler=_cmd_invert)
 
     return parser

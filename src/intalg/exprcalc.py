@@ -220,7 +220,9 @@ def _wrap(text: str, need: bool) -> str:
 
 
 def unparse(node: ExprNode) -> str:
-    """Text that parses back to an equal tree; a tree too deep to print raises EvalError."""
+    """Text that parses back to an equal tree.  A tree nested too deeply to
+    print, or a number no literal spells (negative, -0.0 or not finite),
+    raises EvalError."""
     try:
         return _unparse(node)
     except RecursionError:
@@ -229,9 +231,14 @@ def unparse(node: ExprNode) -> str:
 
 def _unparse(node: ExprNode) -> str:
     if isinstance(node, Num):
-        return repr(node.value)
+        # a sign or a name would read back as Neg or Var
+        if math.isfinite(node.value) and math.copysign(1.0, node.value) > 0:
+            return repr(node.value)
+        raise EvalError(f"no literal spells the number {node.value!r}")
     if isinstance(node, IntervalLit):
-        return f"[{node.lo!r},{node.hi!r}]"
+        if math.isfinite(node.lo) and math.isfinite(node.hi):
+            return f"[{node.lo!r},{node.hi!r}]"
+        raise EvalError(f"no literal spells the interval [{node.lo!r},{node.hi!r}]")
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
@@ -243,12 +250,21 @@ def _unparse(node: ExprNode) -> str:
     if isinstance(node, Call):
         return f"{node.func}({_unparse(node.arg)})"
     if isinstance(node, BinOp):
-        my = _prec(node)
-        left = _wrap(_unparse(node.left), _prec(node.left) < my)
-        # the grammar is left associative, so a right operand of equal
-        # precedence must keep its parentheses to reparse to the same tree
-        right = _wrap(_unparse(node.right), _prec(node.right) <= my)
-        return f"{left}{node.op}{right}"
+        # a flat sum or product is a left-leaning chain, printed in a loop: the
+        # parentheses that wrap the text so far close in turn and open at the end
+        chain = [node]
+        while isinstance(node := node.left, BinOp):
+            chain.append(node)
+        parts, opens = [_unparse(node)], 0
+        for link in reversed(chain):
+            my = _prec(link)
+            if _prec(link.left) < my:
+                parts.append(")")
+                opens += 1
+            # the grammar is left associative, so a right operand of equal
+            # precedence must keep its parentheses to reparse to the same tree
+            parts += (link.op, _wrap(_unparse(link.right), _prec(link.right) <= my))
+        return "(" * opens + "".join(parts)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -265,7 +281,8 @@ def evaluate(
     """Evaluate an AST through interval arithmetic, never collapsing midway.
 
     ``mode`` is an ArithmeticMode member or its value; anything else raises
-    ValueError.  A tree too deep for the recursion limit raises EvalError.
+    ValueError.  A tree nested too deeply for the recursion limit raises
+    EvalError; flat sums and products of any length evaluate.
     """
     bindings = bindings or {}
     mode = _as_mode(mode)
@@ -306,8 +323,13 @@ def _eval(node, bindings, mode, order) -> IntervalNumber:
     if isinstance(node, Call):
         return FUNCTIONS[node.func](_eval(node.arg, bindings, mode, order))
     if isinstance(node, BinOp):
-        return _APPLY[node.op](
-            _eval(node.left, bindings, mode, order),
-            _eval(node.right, bindings, mode, order),
-        )
+        # a flat sum or product is a left-leaning chain, evaluated in a loop,
+        # each left operand before its right one
+        chain = [node]
+        while isinstance(node := node.left, BinOp):
+            chain.append(node)
+        value = _eval(node, bindings, mode, order)
+        for link in reversed(chain):
+            value = _APPLY[link.op](value, _eval(link.right, bindings, mode, order))
+        return value
     raise TypeError(f"not an expression node: {node!r}")

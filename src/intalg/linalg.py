@@ -395,10 +395,13 @@ def _plane_residual(c1, c3) -> float:
     )
 
 
+_SCHULZ_TOL, _SCHULZ_MAX_ITER = 1e-12, 100  # schulz_invert's defaults, which the CLI shares
+
+
 def schulz_invert(
     m: IntervalMatrix,
-    tol: float = 1e-12,
-    max_iter: int = 100,
+    tol: float = _SCHULZ_TOL,
+    max_iter: int = _SCHULZ_MAX_ITER,
 ) -> IntervalMatrix:
     """Quadratic inverse iteration X <- X (2I - M X), seeded with M^T / sum(M_ij^2).
 

@@ -44,7 +44,7 @@ from intalg import (
     structure_table,
     to_split,
 )
-from intalg.algebra import _as_order, _chars, _from_chars
+from intalg.algebra import _as_order, _chars, _from_chars, _product_table
 from intalg.interval import GeneralizedInterval, collapse, mink_mul
 
 ORDERS = (4, 5, 7)
@@ -70,6 +70,12 @@ def test_table_rederived_from_generator_set_products(order):
         for j, gj in enumerate(gens):
             prod = mink_mul(GeneralizedInterval(*gi), GeneralizedInterval(*gj))
             assert (prod.lo, prod.hi) == gens[table[i][j]], (i, j)
+
+
+def test_product_table_refuses_generators_not_closed_under_set_products():
+    # [-1, 1/2] squared is [-1/2, 1], which order 4's generators do not hold
+    with pytest.raises(ValueError, match="not closed under set products"):
+        _product_table(generator_endpoints(4) + ((-1.0, 0.5),))
 
 
 def test_table_spot_values():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -409,12 +410,37 @@ def test_deep_nesting_is_a_syntax_error(text):
 
 
 def test_deep_tree_is_an_eval_error():
-    # a flat sum parses in a loop but is a left-leaning tree 4999 levels deep
+    # the parser refuses deep nesting, so these trees are built by hand
+    for wrap in (Neg, lambda node: Call("sqrt", node)):
+        ast = Var("x")
+        for _ in range(5000):
+            ast = wrap(ast)
+        with pytest.raises(EvalError, match="nests too deeply to evaluate"):
+            evaluate(ast, {"x": interval(1.0, 2.0)})
+        with pytest.raises(EvalError, match="nests too deeply to print"):
+            unparse(ast)
+
+
+def test_flat_sum_evaluates_and_prints_at_any_length():
+    # a flat sum is a left-leaning tree 4999 levels deep, walked in a loop;
+    # printed strings are compared, since node == on this tree still raises
     ast = parse(DEEP_SUM)
-    with pytest.raises(EvalError, match="nests too deeply to evaluate"):
-        evaluate(ast, {"x": interval(1.0, 2.0)})
-    with pytest.raises(EvalError, match="nests too deeply to print"):
-        unparse(ast)
+    result = evaluate(ast, {"x": interval(1.0, 2.0)})
+    assert (result.min, result.max) == (5000.0, 10000.0)
+    text = unparse(ast)
+    assert text == DEEP_SUM and unparse(parse(text)) == text
+
+
+@pytest.mark.parametrize(
+    "node",
+    (Num(-2.0), Num(-0.0), Num(math.inf), Num(math.nan),
+     IntervalLit(0.0, math.inf), IntervalLit(-math.inf, 0.0), IntervalLit(math.nan, 1.0)),
+    ids=repr,
+)
+def test_unparse_refuses_leaves_no_text_spells(node):
+    # -2.0 would read back as Neg(Num(2.0)) and inf as the variable inf
+    with pytest.raises(EvalError, match="no literal spells"):
+        unparse(node)
 
 
 def test_deep_tree_compares_hashes_and_prints_typed():
