@@ -60,7 +60,7 @@ def _flag_number(text: str) -> float:
 
 
 def _flag_count(text: str) -> int:
-    """argparse type of the count flags: a number read as _flag_number reads it, and whole."""
+    """argparse type of the counts and --order: read as _flag_number reads, and whole."""
     value = _flag_number(text)
     if not value.is_integer():
         raise argparse.ArgumentTypeError(f"expected a finite whole number, got {text!r}")
