@@ -10,8 +10,10 @@ form is what makes elements invertible component by component.
 Every coefficient operation runs a straight-line kernel per order, all of
 an order's kernels generated as one source and compiled on the order's first
 use: the product from the product schedule, which is read off the structure
-table; sum, difference, negation and scaling coefficientwise; and collapse
-to endpoints from the generator intervals.  Float addition does not associate,
+table; sum, difference, negation and scaling coefficientwise; collapse to
+endpoints from the generator intervals; and the embedding of a proper pair,
+whose cone tests and two-ray solves are written out from the cone table with
+the generator endpoints as constants.  Float addition does not associate,
 so the kernels' order of operations is part of the results the tests pin bit
 for bit: change the schedule or the generator and those results change with
 it.  ``_compile`` compiles all generated code: these kernels, the records'
@@ -197,6 +199,32 @@ _GENERATORS = {
     AlgebraOrder.ORDER_7: _GENERATORS_7,
 }
 
+# Cones of proper pairs lo < hi, as rows (g, ia, ib).  A pair lies in the
+# first cone with lo*g[1] - hi*g[0] >= 0, the side of the line through the
+# integer direction g that holds the cone; g's entries have magnitude at most
+# 2, and at most one of them 2, so each product is exact or overflows past
+# the other term, and the test's sign is exact.  Inside, the pair is a
+# nonnegative combination of the generators ia and ib.  The rows run lo >= 0,
+# hi <= 0, then the cones that hold zero from [0,1] to [-1,0]; the last gate,
+# hi >= 0, is always met.
+_SIGNED_CONES = (
+    ((0, 1), 0, 1),  # [1,1] .. [0,1]
+    ((1, 0), 3, 2),  # [-1,-1] .. [-1,0]
+)
+_CONES = {
+    AlgebraOrder.ORDER_4: _SIGNED_CONES + (((-1, 0), 2, 1),),  # [0,1] .. [-1,0]
+    AlgebraOrder.ORDER_5: _SIGNED_CONES + (
+        ((-1, 1), 4, 1),  # [0,1] .. [-1,1]
+        ((-1, 0), 4, 2),  # [-1,1] .. [-1,0]
+    ),
+    AlgebraOrder.ORDER_7: _SIGNED_CONES + (
+        ((-1, 2), 6, 1),  # [0,1] .. [-1/2,1]
+        ((-1, 1), 6, 4),  # [-1/2,1] .. [-1,1]
+        ((-2, 1), 5, 4),  # [-1,1] .. [-1,1/2]
+        ((-1, 0), 5, 2),  # [-1,1/2] .. [-1,0]
+    ),
+}
+
 
 def _product_table(generators) -> tuple[tuple[int, ...], ...]:
     """Multiplication table of a generator list: entry [i][j] is the index
@@ -234,6 +262,11 @@ def _kernel_source(order: AlgebraOrder) -> str:
     coefficientwise.  ``collapse(a)`` is ``(lo, hi)``, each endpoint
     ``0.0 + a0*g0 + a1*g1 + ...`` over the generators' endpoints, zeros
     included, so an infinite coefficient still makes a NaN endpoint.
+    ``embed(lo, hi)``, for finite lo < hi, finds the pair's cone with the
+    cone table's gates and solves for its two coefficients as
+    ``interval._embed_proper`` describes, with the same float operations; it
+    returns the coefficient tuple when their collapse is exact and None
+    otherwise, which leaves the neighbour search to ``_embed_proper``.
     """
     n = int(order)
     terms = [["0.0"] for _ in range(n)]
@@ -257,7 +290,60 @@ def _kernel_source(order: AlgebraOrder) -> str:
         for p in ("a", "b") if "b" in params else ("a",):
             lines.append("    " + ", ".join(f"{p}{i}" for i in range(n)) + f" = {p}")
         lines += ["    return (", *(f"        {v}," for v in values), "    )"]
+    lines.append("def embed(lo, hi):")
+    cones = _CONES[order]
+    for row, ((g0, g1), ia, ib) in enumerate(cones):
+        if row == len(cones) - 1:
+            lines.append("    else:")  # the last gate is always met
+        else:
+            # a zero term of the gate changes at most the sign of a zero sum,
+            # which >= 0 does not see
+            gate = _form(*((c, x) for c, x in ((g1, "lo"), (-g0, "hi")) if c))
+            lines.append(f"    {'elif' if row else 'if'} {gate} >= 0:")
+        (alo, ahi), (blo, bhi) = _GENERATORS[order][ia], _GENERATORS[order][ib]
+        if blo == 0.0:
+            a = _quotient("lo", alo)
+        elif bhi == 0.0:
+            a = _quotient("hi", ahi)
+        else:
+            a = _quotient(_form((bhi, "lo"), (-blo, "hi")), alo * bhi - ahi * blo)
+        if bhi:
+            b = _quotient(_form((1.0, "hi"), (-ahi, "a")), bhi)
+        else:
+            b = _quotient(_form((1.0, "lo"), (-alo, "a")), blo)
+        coeffs = ["0.0"] * n
+        coeffs[ia], coeffs[ib] = "a", "b"
+        lines += [
+            f"        a = {a}",
+            f"        b = {b}",
+            f"        if a >= 0.0 and b >= 0.0 and {_form((alo, 'a'), (blo, 'b'))} == lo"
+            f" and {_form((ahi, 'a'), (bhi, 'b'))} == hi:",
+            f"            return ({', '.join(coeffs)})",
+        ]
+    lines.append("    return None")
     return "\n".join(lines) + "\n"
+
+
+def _form(*terms: tuple[float, str]) -> str:
+    """Source of the sum of x * c over the terms (c, x), left to right.  A
+    factor of magnitude 1 is left out and a negative factor's sign becomes
+    the operator before its term: both are exact, as x * -c is -(x * c) and
+    p + -q is p - q, so the source computes the same floats as the sum."""
+    text = ""
+    for c, x in terms:
+        term = x if abs(c) == 1 else f"{x} * {abs(c)!r}"
+        sign = "-" if math.copysign(1.0, c) < 0 else "+"
+        text = f"{text} {sign} {term}" if text else term if sign == "+" else f"-{term}"
+    return text
+
+
+def _quotient(text: str, d: float) -> str:
+    """Source of text / d; dividing by 1 or -1 is exact, so only a sign remains."""
+    if d == 1:
+        return text
+    if " " in text:
+        text = f"({text})"
+    return f"-{text}" if d == -1 else f"{text} / {d!r}"
 
 
 def _first_use(name: str, order: AlgebraOrder):
@@ -277,9 +363,9 @@ def _first_use(name: str, order: AlgebraOrder):
 
 _KERNELS = {
     name: {order: _first_use(name, order) for order in AlgebraOrder}
-    for name in ("mul", "add", "sub", "neg", "scale", "collapse")
+    for name in ("mul", "add", "sub", "neg", "scale", "collapse", "embed")
 }
-_MUL, _ADD, _SUB, _NEG, _SCALE, _COLLAPSE = _KERNELS.values()
+_MUL, _ADD, _SUB, _NEG, _SCALE, _COLLAPSE, _EMBED = _KERNELS.values()
 
 
 def generator_endpoints(order: int | AlgebraOrder) -> tuple[tuple[float, float], ...]:

@@ -1,4 +1,12 @@
-"""Precedence-climbing parser, printer and evaluator for interval expressions.
+"""Parser, printer and evaluator for interval expressions.
+
+The parser is one loop over the tokens that keeps explicit stacks: each
+operator, unary minus, open parenthesis and call still waiting for its operand
+is a frame (operator precedence, as in Dijkstra's shunting-yard), and an
+exponent chain is a list of links, so nesting of any depth parses without
+recursion.  The evaluator and printer walk flat sums and products in a loop
+and recurse into everything else, so a tree nested too deeply for the
+recursion limit raises EvalError there.
 
 Grammar, lowest precedence first::
 
@@ -22,13 +30,14 @@ from operator import add, mul, sub, truediv
 from typing import Mapping, Union
 
 from .algebra import AlgebraOrder, _as_order, _Record
-from .errors import EvalError, ExprSyntaxError
+from .errors import EvalError
 from .interval import (
     ArithmeticMode,
     IntervalNumber,
     _Reader,
     _as_mode,
     _is_number,
+    _point,
     exp,
     interval,
     log,
@@ -59,6 +68,15 @@ _MAX_EXPONENT = 1_000_000
 # interval operation the evaluator applies.
 _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 _APPLY = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+
+def _known(table: Mapping, name: str, kind: str):
+    """table[name], for the operator or function name a node holds; EvalError
+    names one that only a hand-built tree can hold, as no text spells it."""
+    try:
+        return table[name]
+    except KeyError:
+        raise EvalError(f"unknown {kind} {name!r}") from None
 
 
 def _depth_guarded(method, verb: str):
@@ -122,82 +140,114 @@ ExprNode = Union[Num, IntervalLit, Var, Neg, BinOp, Power, Call]
 # Parser
 # ---------------------------------------------------------------------------
 
+# Parser frames, one per construct still open: (binding, op, left).  A binary
+# operator binds at its _BINARY precedence and holds its left operand, a unary
+# minus binds tighter than any of them, an open parenthesis or call (op: the
+# function's name) is closed only by ')', and the bottom frame by the end.
+_NEG_FRAME = (3, None, None)
+_OPEN_FRAME = (0, None, None)
+_BOTTOM_FRAME = (-1, None, None)
+
+
 class _Parser(_Reader):
-    """Precedence climbing over the reader's tokens: one that is not a NUMBER
-    is a NAME when it is an identifier, else an operator ('**' reads as '^')."""
+    """Operator precedence over the reader's tokens, in one loop with an
+    explicit stack of frames, so nesting costs no recursion: a token that is
+    not a NUMBER is a NAME when it is an identifier, else an operator ('**'
+    reads as '^')."""
 
     def parse(self) -> ExprNode:
-        node = self.binary(1)
-        if tok := self.peek():
-            raise self.error(f"unexpected {tok!r}", self.i)
-        return node
-
-    def binary(self, min_prec: int) -> ExprNode:
-        """Precedence climbing over _BINARY: operators binding at least min_prec."""
-        node = self.unary()
-        while (prec := _BINARY.get(self.peek(), 0)) >= min_prec:
-            op = self.advance()
-            node = BinOp(op, node, self.binary(prec + 1))
-        return node
-
-    def unary(self) -> ExprNode:
-        if self.peek() == "-":
-            self.i += 1
-            return Neg(self.unary())
-        base = self.primary()
-        if self.peek() in ("^", "**"):
-            self.i += 1
-            return Power(base, self.exponent())
-        return base
+        tokens = self.tokens
+        frames = [_BOTTOM_FRAME]
+        i = 0
+        while True:
+            # an operand: its prefixes open frames, then a primary
+            tok = tokens[i]
+            i += 1
+            if tok == "(":
+                frames.append(_OPEN_FRAME)
+                continue
+            if tok.isidentifier():
+                if tokens[i] != "(":
+                    node = Var(tok)
+                elif tok in FUNCTIONS:
+                    frames.append((0, tok, None))
+                    i += 1
+                    continue
+                else:
+                    raise self.error(f"unknown function {tok!r}", i - 1)
+            elif _is_number(tok):
+                self.i = i
+                values = self.ball(i - 1, float(tok))
+                i = self.i
+                node = Num(*values) if len(values) == 1 else IntervalLit(*values)
+            elif tok == "-":
+                frames.append(_NEG_FRAME)
+                continue
+            elif tok == "[":
+                self.i = i
+                node = IntervalLit(*self.bracket(i - 1))
+                i = self.i
+            else:
+                raise self.error(
+                    f"unexpected {tok!r}" if tok else "unexpected end of input", i - 1
+                )
+            # after an operand: an exponent, then a binary operator opens a
+            # frame, and anything else closes frames, ')' one parenthesis
+            while True:
+                tok = tokens[i]
+                if tok == "^" or tok == "**":
+                    self.i = i + 1
+                    node = Power(node, self.exponent())
+                    i = self.i
+                    tok = tokens[i]
+                prec = _BINARY.get(tok, 0)
+                while frames[-1][0] >= (prec or 1):
+                    _, op, left = frames.pop()
+                    node = Neg(node) if op is None else BinOp(op, left, node)
+                if prec:
+                    frames.append((prec, tok, node))
+                    i += 1
+                    break
+                binding, func, _ = frames[-1]
+                if binding < 0:
+                    if tok:
+                        raise self.error(f"unexpected {tok!r}", i)
+                    return node
+                if tok != ")":
+                    raise self.error("expected ')'", i)
+                frames.pop()
+                i += 1
+                if func is not None:
+                    node = Call(func, node)
 
     def exponent(self) -> int:
-        i, tok = self.i, self.advance()
-        value = float(tok) if _is_number(tok) else math.nan
-        if value == math.inf:  # a literal past the float range, such as 1e400
-            raise self.error(f"exponent too large (> {_MAX_EXPONENT})", i)
-        if not value.is_integer():
-            raise self.error("exponent must be a nonnegative integer", i)
-        k = int(value)
-        if self.peek() in ("^", "**"):
+        """An exponent chain, read after its first '^': literals joined by '^',
+        each checked as it is read, then folded from the right."""
+        links = []
+        while True:
+            i, tok = self.i, self.advance()
+            value = float(tok) if _is_number(tok) else math.nan
+            if value == math.inf:  # a literal past the float range, such as 1e400
+                raise self.error(f"exponent too large (> {_MAX_EXPONENT})", i)
+            if not value.is_integer():
+                raise self.error("exponent must be a nonnegative integer", i)
+            links.append((i, int(value)))
+            if self.peek() not in ("^", "**"):
+                break
             self.i += 1
-            e = self.exponent()
+        k = 1
+        for i, base in reversed(links):
             # bail before materializing a huge integer
-            k = k**e if k < 2 or e <= 20 else _MAX_EXPONENT + 1
-        if k > _MAX_EXPONENT:
-            raise self.error(f"exponent too large (> {_MAX_EXPONENT})", i)
+            k = base**k if base < 2 or k <= 20 else _MAX_EXPONENT + 1
+            if k > _MAX_EXPONENT:
+                raise self.error(f"exponent too large (> {_MAX_EXPONENT})", i)
         return k
-
-    def primary(self) -> ExprNode:
-        i, tok = self.i, self.advance()
-        if _is_number(tok):
-            values = self.ball(i, float(tok))
-            return Num(*values) if len(values) == 1 else IntervalLit(*values)
-        if tok == "[":
-            return IntervalLit(*self.bracket(i))
-        if tok.isidentifier():
-            if self.peek() != "(":
-                return Var(tok)
-            if tok not in FUNCTIONS:
-                raise self.error(f"unknown function {tok!r}", i)
-            self.i += 1
-            arg = self.binary(1)
-            self.expect(")", "')'")
-            return Call(tok, arg)
-        if tok == "(":
-            node = self.binary(1)
-            self.expect(")", "')'")
-            return node
-        raise self.error(f"unexpected {tok!r}" if tok else "unexpected end of input", i)
 
 
 def parse(text: str) -> ExprNode:
-    """Parse expression text into an AST or raise a positioned syntax error,
-    also for nesting deeper than the interpreter's recursion limit allows."""
-    parser = _Parser(text)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise parser.error("expression nests too deeply") from None  # at the last token read
+    """Parse expression text into an AST or raise a positioned syntax error;
+    nesting of any depth parses, in a loop."""
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +261,7 @@ _PREC = {Neg: _PREC_NEG, Power: _PREC_POW}
 
 def _prec(node: ExprNode) -> int:
     if isinstance(node, BinOp):
-        return _BINARY[node.op]
+        return _known(_BINARY, node.op, "operator")
     return _PREC.get(type(node), _PREC_ATOM)
 
 
@@ -221,8 +271,8 @@ def _wrap(text: str, need: bool) -> str:
 
 def unparse(node: ExprNode) -> str:
     """Text that parses back to an equal tree.  A tree nested too deeply to
-    print, or a number no literal spells (negative, -0.0 or not finite),
-    raises EvalError."""
+    print, a number no literal spells (negative, -0.0 or not finite), or an
+    operator or function name that parse does not know raises EvalError."""
     try:
         return _unparse(node)
     except RecursionError:
@@ -248,6 +298,7 @@ def _unparse(node: ExprNode) -> str:
         base = _unparse(node.base)
         return _wrap(base, _prec(node.base) < _PREC_ATOM) + f"^{node.exponent}"
     if isinstance(node, Call):
+        _known(FUNCTIONS, node.func, "function")
         return f"{node.func}({_unparse(node.arg)})"
     if isinstance(node, BinOp):
         # a flat sum or product is a left-leaning chain, printed in a loop: the
@@ -281,7 +332,8 @@ def evaluate(
     """Evaluate an AST through interval arithmetic, never collapsing midway.
 
     ``mode`` is an ArithmeticMode member or its value; anything else raises
-    ValueError.  A tree nested too deeply for the recursion limit raises
+    ValueError.  A tree nested too deeply for the recursion limit, or one
+    holding an operator or function name that parse does not know, raises
     EvalError; flat sums and products of any length evaluate.
     """
     bindings = bindings or {}
@@ -307,29 +359,33 @@ def evaluate(
 
 
 def _eval(node, bindings, mode, order) -> IntervalNumber:
-    if isinstance(node, Num):
-        return interval(node.value, order=order, mode=mode)
-    if isinstance(node, IntervalLit):
-        return interval(node.lo, node.hi, order=order, mode=mode)
-    if isinstance(node, Var):
+    # dispatch on the node's own class, the most frequent first
+    cls = node.__class__
+    if cls is BinOp:
+        # a flat sum or product is a left-leaning chain, evaluated in a loop,
+        # each left operand before its right one
+        chain = [node]
+        while (node := node.left).__class__ is BinOp:
+            chain.append(node)
+        value = _eval(node, bindings, mode, order)
+        for link in reversed(chain):
+            apply = _known(_APPLY, link.op, "operator")
+            value = apply(value, _eval(link.right, bindings, mode, order))
+        return value
+    if cls is Var:
         try:
             return bindings[node.name]
         except KeyError:
             raise EvalError(f"unbound variable {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -_eval(node.operand, bindings, mode, order)
-    if isinstance(node, Power):
+    if cls is Num:
+        return _point(node.value, order, mode)  # interval(value), mode and order checked
+    if cls is Power:
         return pow_int(_eval(node.base, bindings, mode, order), node.exponent)
-    if isinstance(node, Call):
-        return FUNCTIONS[node.func](_eval(node.arg, bindings, mode, order))
-    if isinstance(node, BinOp):
-        # a flat sum or product is a left-leaning chain, evaluated in a loop,
-        # each left operand before its right one
-        chain = [node]
-        while isinstance(node := node.left, BinOp):
-            chain.append(node)
-        value = _eval(node, bindings, mode, order)
-        for link in reversed(chain):
-            value = _APPLY[link.op](value, _eval(link.right, bindings, mode, order))
-        return value
+    if cls is Call:
+        # looked up per call: bench/tracer.py rewrites FUNCTIONS' entries
+        return _known(FUNCTIONS, node.func, "function")(_eval(node.arg, bindings, mode, order))
+    if cls is IntervalLit:
+        return interval(node.lo, node.hi, order=order, mode=mode)
+    if cls is Neg:
+        return -_eval(node.operand, bindings, mode, order)
     raise TypeError(f"not an expression node: {node!r}")

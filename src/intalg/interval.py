@@ -40,6 +40,8 @@ from typing import Callable
 from .algebra import (
     _ADD,
     _COLLAPSE,
+    _CONES,
+    _EMBED,
     _GENERATORS,
     _MUL,
     _NEG,
@@ -199,43 +201,19 @@ def _neighbors(value: float) -> tuple[float, ...]:
     )
 
 
-# Cones of proper pairs lo < hi, as rows (g, ia, ib).  A pair lies in the
-# first cone with lo*g[1] - hi*g[0] >= 0, the side of the line through the
-# integer direction g that holds the cone; g's entries are 0, 1 or 2, so the
-# test never rounds.  Inside, the pair is a nonnegative combination of the
-# generators ia and ib.  The rows run lo >= 0, hi <= 0, then the cones that
-# hold zero from [0,1] to [-1,0]; the last gate, hi >= 0, is always met.
-_SIGNED_CONES = (
-    ((0, 1), 0, 1),  # [1,1] .. [0,1]
-    ((1, 0), 3, 2),  # [-1,-1] .. [-1,0]
-)
-_CONES = {
-    AlgebraOrder.ORDER_4: _SIGNED_CONES + (((-1, 0), 2, 1),),  # [0,1] .. [-1,0]
-    AlgebraOrder.ORDER_5: _SIGNED_CONES + (
-        ((-1, 1), 4, 1),  # [0,1] .. [-1,1]
-        ((-1, 0), 4, 2),  # [-1,1] .. [-1,0]
-    ),
-    AlgebraOrder.ORDER_7: _SIGNED_CONES + (
-        ((-1, 2), 6, 1),  # [0,1] .. [-1/2,1]
-        ((-1, 1), 6, 4),  # [-1/2,1] .. [-1,1]
-        ((-2, 1), 5, 4),  # [-1,1] .. [-1,1/2]
-        ((-1, 0), 5, 2),  # [-1,1/2] .. [-1,0]
-    ),
-}
-
-
 def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...]:
     """The coefficients of finite lo < hi as a*e_ia + b*e_ib on the rays of
-    its cone.
+    its cone, where the order's ``embed`` kernel returned None.
 
     When e_ib has a zero endpoint, the other endpoint's equation fixes a
     alone; otherwise a comes from Cramer's rule.  b then solves the hi
-    equation, or the lo one where e_ib's hi endpoint is zero.
+    equation, or the lo one where e_ib's hi endpoint is zero.  The kernel
+    makes this plain solve and returns the pair when its collapse is exact.
     A plain solve can land one ulp off an endpoint when an intermediate sum
-    ties, so unless the plain pair is exact, each solved coefficient is tried
-    with its four neighbouring doubles, and the first pair whose collapse is
-    exact wins; failing that, the closest one.  The search tries the plain
-    pair first, so taking an exact one up front gives the same coefficients.
+    ties, so here each solved coefficient is tried with its four neighbouring
+    doubles, and the first pair whose collapse is exact wins; failing that,
+    the closest one.  The search tries the plain pair first, so the kernel's
+    exact pair is the one it would find.
     """
     for (g0, g1), ia, ib in _CONES[order]:
         if lo * g1 - hi * g0 >= 0:
@@ -249,11 +227,6 @@ def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...
         a = hi / ahi
     else:
         a = (lo * bhi - hi * blo) / (alo * bhi - ahi * blo)
-    b = (hi - a * ahi) / bhi if bhi else (lo - a * alo) / blo
-    coeffs = [0.0] * len(gens)
-    if a >= 0.0 and b >= 0.0 and a * alo + b * blo == lo and a * ahi + b * bhi == hi:
-        coeffs[ia], coeffs[ib] = a, b
-        return tuple(coeffs)
     best = None
     best_err = math.inf
     for a in _neighbors(a) if blo and bhi else (a,):
@@ -273,6 +246,7 @@ def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...
         raise DomainError(
             f"no embedding of ({lo!r}, {hi!r}) found at order {int(order)}"
         )
+    coeffs = [0.0] * len(gens)
     coeffs[ia], coeffs[ib] = best
     return tuple(coeffs)
 
@@ -317,8 +291,8 @@ def _embed_coeffs(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...
     if lo == hi:
         return _embed_point(lo, hi, order)
     if lo > hi:
-        return _NEG[order](_embed_proper(-lo, -hi, order))
-    return _embed_proper(lo, hi, order)
+        return _NEG[order](_EMBED[order](-lo, -hi) or _embed_proper(-lo, -hi, order))
+    return _EMBED[order](lo, hi) or _embed_proper(lo, hi, order)
 
 
 def _real(v: float, order: AlgebraOrder) -> tuple[float, ...]:

@@ -237,7 +237,7 @@ print([table[a.AlgebraOrder(5)].__name__ for table in a._KERNELS.values()])
     assert run.stdout.splitlines() == [
         "[]",
         "(0.0, 0.0, 0.0, 0.0, 0.0) [5]",
-        "['mul', 'add', 'sub', 'neg', 'scale', 'collapse']",
+        "['mul', 'add', 'sub', 'neg', 'scale', 'collapse', 'embed']",
     ], run.stderr
 
 

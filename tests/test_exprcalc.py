@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from helpers import literal_soup, reference_parse
@@ -392,8 +395,9 @@ def test_non_finite_literal_is_a_syntax_error(text, position):
     assert exc.value.position == position
 
 
-# Far deeper than the default recursion limit of 1000: nesting fails typed,
-# at a position that depends on the limit, so none is pinned.
+# Far deeper than the default recursion limit of 1000: the parser reads any
+# nesting in a loop, and evaluate, which recurses into unary minus and calls,
+# fails typed on the two that nest.
 DEEP_NESTING = {
     "parentheses": "(" * 5000 + "x" + ")" * 5000,
     "unary-minus": "-" * 5000 + "x",
@@ -402,15 +406,42 @@ DEEP_NESTING = {
 DEEP_SUM = "+".join(["x"] * 5000)
 
 
-@pytest.mark.parametrize("text", DEEP_NESTING.values(), ids=DEEP_NESTING)
-def test_deep_nesting_is_a_syntax_error(text):
-    with pytest.raises(ExprSyntaxError, match="nests too deeply") as exc:
-        parse(text)
-    assert 1 <= exc.value.position <= len(text)
+@pytest.mark.parametrize("name", DEEP_NESTING)
+def test_deep_nesting_parses(name):
+    ast = parse(DEEP_NESTING[name])
+    x = interval(1.0, 2.0)
+    if name == "parentheses":
+        assert ast == Var("x") and evaluate(ast, {"x": x}) == x
+    else:
+        with pytest.raises(EvalError, match="nests too deeply to evaluate"):
+            evaluate(ast, {"x": x})
+
+
+def test_parser_keeps_its_own_stack():
+    # under a recursion limit of 60, nesting and exponent chains 100,000 deep
+    # still parse: the parser's frames and exponent links are lists
+    script = """
+import sys
+from intalg import parse
+from intalg.exprcalc import Power, Var
+sys.setrecursionlimit(60)
+n = 100_000
+assert parse("(" * n + "x" + ")" * n) == Var("x")
+assert parse("x" + "^1" * n) == Power(Var("x"), 1)
+print("parsed")
+"""
+    src = os.path.dirname(os.path.dirname(sys.modules["intalg"].__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert run.stdout == "parsed\n", run.stderr
 
 
 def test_deep_tree_is_an_eval_error():
-    # the parser refuses deep nesting, so these trees are built by hand
+    # built by hand, as parse builds them from DEEP_NESTING
     for wrap in (Neg, lambda node: Call("sqrt", node)):
         ast = Var("x")
         for _ in range(5000):
@@ -419,6 +450,23 @@ def test_deep_tree_is_an_eval_error():
             evaluate(ast, {"x": interval(1.0, 2.0)})
         with pytest.raises(EvalError, match="nests too deeply to print"):
             unparse(ast)
+
+
+# Nodes that parse never builds: their operator or function has no spelling.
+UNKNOWN_NAMES = {
+    "evaluate-operator": (evaluate, BinOp("%", Var("x"), Var("x")), "unknown operator '%'"),
+    "evaluate-function": (evaluate, Call("foo", Var("x")), "unknown function 'foo'"),
+    "unparse-operator": (unparse, BinOp("%", Var("x"), Var("x")), "unknown operator '%'"),
+    "unparse-function": (unparse, Call("foo", Var("x")), "unknown function 'foo'"),
+}
+
+
+@pytest.mark.parametrize("fn, node, message", UNKNOWN_NAMES.values(), ids=UNKNOWN_NAMES)
+def test_unknown_operator_or_function_is_an_eval_error(fn, node, message):
+    # unparse would otherwise print foo(x), which parse refuses
+    args = (node, {"x": interval(1.0, 2.0)}) if fn is evaluate else (node,)
+    with pytest.raises(EvalError, match=message):
+        fn(*args)
 
 
 def test_flat_sum_evaluates_and_prints_at_any_length():

@@ -292,6 +292,36 @@ def test_embed_matches_cone_probe_bit_for_bit(order):
         assert bits(embed(lo, hi, order).coeffs) == want, (lo, hi)
 
 
+def _gate_pairs():
+    """Pairs on each gate of the embedding kernel's cones and an ulp to either
+    side: lo = 0 and hi = 0, hi = -lo (orders 5 and 7), hi = -2*lo and
+    lo = -2*hi (order 7), at magnitudes from subnormal to near overflow, with
+    signed zeros and pairs one ulp wide, each in both orientations."""
+    tiny = 5e-324
+    pairs = [(0.0, -0.0), (0.0, tiny), (-0.0, tiny), (-tiny, 0.0), (-tiny, -0.0), (-tiny, tiny)]
+    for m in (tiny, 3 * tiny, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 3.0,
+              7.77, 1e300, 8.9e307):
+        up = math.nextafter(m, math.inf)
+        for lo, hi in ((0.0, m), (-0.0, m), (-m, 0.0), (-m, -0.0), (-m, m), (-m, 2 * m),
+                       (-2 * m, m), (m, up), (-up, -m)):
+            for near in (math.nextafter(hi, -math.inf), hi, math.nextafter(hi, math.inf)):
+                pairs += [(lo, near), (near, lo)]
+    return pairs
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_embed_kernel_matches_the_cone_probe_on_every_gate(order):
+    # On these pairs the plain solve is exact, so the kernel returns the
+    # probe's pair itself, leaving nothing to the neighbour search.
+    kernel = sys.modules["intalg.algebra"]._EMBED[ia.AlgebraOrder(order)]
+    for lo, hi in _gate_pairs():
+        want = bits(reference_embed(lo, hi, order))
+        assert bits(embed(lo, hi, order).coeffs) == want, (lo, hi)
+        if lo < hi:
+            plain = kernel(lo, hi)
+            assert plain is not None and bits(plain) == want, (lo, hi)
+
+
 # Decimal pairs on which the plain solve lands an ulp off an endpoint, at
 # least one for each pair of rays that such pairs reach at the order.
 SEARCHED_PAIRS = {
