@@ -13,7 +13,9 @@ use: the product from the product schedule, which is read off the structure
 table; sum, difference, negation and scaling coefficientwise; collapse to
 endpoints from the generator intervals; and the embedding of a proper pair,
 whose cone tests and two-ray solves are written out from the cone table with
-the generator endpoints as constants.  Float addition does not associate,
+the generator endpoints as constants: one plain solve per cone, whose
+collapse is at most one ulp off an endpoint, with no search.  That kernel is
+the only code that solves a cone.  Float addition does not associate,
 so the kernels' order of operations is part of the results the tests pin bit
 for bit: change the schedule or the generator and those results change with
 it.  ``_compile`` compiles all generated code: these kernels, the records'
@@ -263,10 +265,22 @@ def _kernel_source(order: AlgebraOrder) -> str:
     ``0.0 + a0*g0 + a1*g1 + ...`` over the generators' endpoints, zeros
     included, so an infinite coefficient still makes a NaN endpoint.
     ``embed(lo, hi)``, for finite lo < hi, finds the pair's cone with the
-    cone table's gates and solves for its two coefficients as
-    ``interval._embed_proper`` describes, with the same float operations; it
-    returns the coefficient tuple when their collapse is exact and None
-    otherwise, which leaves the neighbour search to ``_embed_proper``.
+    cone table's gates and writes it as a*e_ia + b*e_ib on the cone's rays.
+    When e_ib has a zero endpoint, the other endpoint's equation fixes a
+    alone; otherwise a comes from Cramer's rule.  b then solves the hi
+    equation, or the lo one where e_ib's hi endpoint is zero.  This one
+    plain solve is the embedding; its collapse can land one ulp off an
+    endpoint, and no pair of neighbouring doubles does better:
+
+    * Both endpoints of e_ib are nonzero only in the Cramer cones, rows 3
+      and 4 of order 7.  There lo lies in [-2hi, -hi/2], so lo + hi is
+      exact (Sterbenz's lemma), a is that sum over 1/2 or -1/2, b is exact
+      by the same lemma, and so is the collapse.
+    * In every other cone one endpoint's equation holds exactly for any b.
+      The other endpoint is p + fl(q - p) with ulp(b) <= ulp(q), so a miss
+      is a rounding tie one ulp of q away, and moving b by an ulp or two
+      lands no closer.
+    * Rounding is monotone, so a and b are >= 0 inside their cone.
     """
     n = int(order)
     terms = [["0.0"] for _ in range(n)]
@@ -313,14 +327,7 @@ def _kernel_source(order: AlgebraOrder) -> str:
             b = _quotient(_form((1.0, "lo"), (-alo, "a")), blo)
         coeffs = ["0.0"] * n
         coeffs[ia], coeffs[ib] = "a", "b"
-        lines += [
-            f"        a = {a}",
-            f"        b = {b}",
-            f"        if a >= 0.0 and b >= 0.0 and {_form((alo, 'a'), (blo, 'b'))} == lo"
-            f" and {_form((ahi, 'a'), (bhi, 'b'))} == hi:",
-            f"            return ({', '.join(coeffs)})",
-        ]
-    lines.append("    return None")
+        lines += [f"        a = {a}", f"        b = {b}", f"        return ({', '.join(coeffs)})"]
     return "\n".join(lines) + "\n"
 
 

@@ -40,9 +40,7 @@ from typing import Callable
 from .algebra import (
     _ADD,
     _COLLAPSE,
-    _CONES,
     _EMBED,
-    _GENERATORS,
     _MUL,
     _NEG,
     _SCALE,
@@ -188,69 +186,6 @@ def collapse(element: AlgebraElement) -> GeneralizedInterval:
     return _pair(*_endpoints(element))  # the kernel's endpoints are floats already
 
 
-def _neighbors(value: float) -> tuple[float, ...]:
-    # The value itself first, then the four nearest doubles.
-    down = math.nextafter(value, -math.inf)
-    up = math.nextafter(value, math.inf)
-    return (
-        value,
-        down,
-        up,
-        math.nextafter(down, -math.inf),
-        math.nextafter(up, math.inf),
-    )
-
-
-def _embed_proper(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...]:
-    """The coefficients of finite lo < hi as a*e_ia + b*e_ib on the rays of
-    its cone, where the order's ``embed`` kernel returned None.
-
-    When e_ib has a zero endpoint, the other endpoint's equation fixes a
-    alone; otherwise a comes from Cramer's rule.  b then solves the hi
-    equation, or the lo one where e_ib's hi endpoint is zero.  The kernel
-    makes this plain solve and returns the pair when its collapse is exact.
-    A plain solve can land one ulp off an endpoint when an intermediate sum
-    ties, so here each solved coefficient is tried with its four neighbouring
-    doubles, and the first pair whose collapse is exact wins; failing that,
-    the closest one.  The search tries the plain pair first, so the kernel's
-    exact pair is the one it would find.
-    """
-    for (g0, g1), ia, ib in _CONES[order]:
-        if lo * g1 - hi * g0 >= 0:
-            break
-    gens = _GENERATORS[order]
-    alo, ahi = gens[ia]
-    blo, bhi = gens[ib]
-    if blo == 0.0:
-        a = lo / alo
-    elif bhi == 0.0:
-        a = hi / ahi
-    else:
-        a = (lo * bhi - hi * blo) / (alo * bhi - ahi * blo)
-    best = None
-    best_err = math.inf
-    for a in _neighbors(a) if blo and bhi else (a,):
-        if a < 0.0:
-            continue
-        for b in _neighbors((hi - a * ahi) / bhi if bhi else (lo - a * alo) / blo):
-            if b < 0.0:
-                continue
-            err = abs(a * alo + b * blo - lo) + abs(a * ahi + b * bhi - hi)
-            if err < best_err:
-                best, best_err = (a, b), err
-                if err == 0.0:
-                    break
-        if best_err == 0.0:
-            break
-    if best is None:
-        raise DomainError(
-            f"no embedding of ({lo!r}, {hi!r}) found at order {int(order)}"
-        )
-    coeffs = [0.0] * len(gens)
-    coeffs[ia], coeffs[ib] = best
-    return tuple(coeffs)
-
-
 def _check_finite(lo: float, hi: float) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"interval endpoints must be finite, got ({lo!r}, {hi!r})")
@@ -274,10 +209,12 @@ def _embed_point(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...]
 def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement:
     """Embed an endpoint pair as nonnegative coordinates on two adjacent rays.
 
-    Improper pairs embed as the negation of the mirrored proper pair.  The
-    collapse of the result gives points back exactly and other pairs within
-    one ulp per endpoint; depending on how the endpoints' magnitudes spread,
-    up to a few percent of pairs miss by that ulp.  Endpoints must be finite.
+    A proper pair takes one plain solve on the rays of its cone, the order's
+    ``embed`` kernel, with no search; improper pairs embed as the negation
+    of the mirrored proper pair.  The collapse of the result gives points
+    back exactly and other pairs within one ulp per endpoint; depending on
+    how the endpoints' magnitudes spread, up to a few percent of pairs miss
+    by that ulp.  Endpoints must be finite.
     """
     order = _as_order(order)
     return _element(order, _embed_coeffs(float(lo), float(hi), order))
@@ -291,8 +228,8 @@ def _embed_coeffs(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...
     if lo == hi:
         return _embed_point(lo, hi, order)
     if lo > hi:
-        return _NEG[order](_EMBED[order](-lo, -hi) or _embed_proper(-lo, -hi, order))
-    return _EMBED[order](lo, hi) or _embed_proper(lo, hi, order)
+        return _NEG[order](_EMBED[order](-lo, -hi))
+    return _EMBED[order](lo, hi)
 
 
 def _real(v: float, order: AlgebraOrder) -> tuple[float, ...]:

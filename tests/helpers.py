@@ -568,6 +568,11 @@ def reference_embed(lo: float, hi: float, order: int) -> tuple[float, ...]:
     probed the same way, and the first pair whose full collapse is exact
     wins, else the closest.  Points take the lo >= 0 or hi <= 0 branch;
     improper pairs are the negation of the mirrored proper pair.
+
+    The library dropped this neighbour search: its kernel keeps the plain
+    solve, which ``algebra._kernel_source`` argues no neighbouring pair
+    beats.  The oracle keeps the search so that a pair where a neighbour
+    did come closer would fail the bit-for-bit pins.
     """
     order = AlgebraOrder(order)
     lo = float(lo)

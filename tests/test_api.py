@@ -74,6 +74,30 @@ def test_peer_modules_do_not_import_each_other(module):
     assert not _sibling_imports(module) & (set(PEERS) - {module})
 
 
+def _unused_imports(tree) -> list[str]:
+    """Names the module imports but neither reads nor lists in ``__all__``."""
+    imported, exported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # no linter runs on this package, so an import left behind by deleted
+    # code would stay unseen
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 
 def test_the_tokenizer_is_the_only_regex():
     # one grammar for literals: option values, matrix files and expressions

@@ -469,6 +469,13 @@ def test_unknown_operator_or_function_is_an_eval_error(fn, node, message):
         fn(*args)
 
 
+@pytest.mark.parametrize("fn", (evaluate, unparse))
+def test_a_non_node_is_a_type_error(fn):
+    args = ("x", {"x": interval(1.0, 2.0)}) if fn is evaluate else ("x",)
+    with pytest.raises(TypeError, match="not an expression node: 'x'"):
+        fn(*args)
+
+
 def test_flat_sum_evaluates_and_prints_at_any_length():
     # a flat sum is a left-leaning tree 4999 levels deep, walked in a loop;
     # printed strings are compared, since node == on this tree still raises

@@ -282,12 +282,39 @@ def _cone_probe_pairs(rng, n):
     return pairs
 
 
+def _tie_pairs(rng, n):
+    """Proper pairs on which the plain solve often ties and lands an ulp off
+    an endpoint: n draws each of two-decimal pairs in [-8, 8], integer pairs
+    up to 2**54 and 3-significant-digit pairs log-uniform from 1e-8 to 1e8,
+    of either sign (about 3 %, 2 % and 0.4 % of them miss)."""
+
+    def log_uniform():
+        return rng.choice((-1.0, 1.0)) * float(f"{10.0 ** rng.uniform(-8, 8):.3g}")
+
+    draws = (
+        lambda: round(rng.uniform(-8.0, 8.0), 2),
+        lambda: float(rng.randint(-2**54, 2**54)),
+        log_uniform,
+    )
+    pairs = []
+    for draw in draws:
+        for _ in range(n):
+            lo, hi = sorted((draw(), draw()))
+            if lo < hi:
+                pairs.append((lo, hi))
+    return pairs
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_embed_matches_cone_probe_bit_for_bit(order):
     # The table-driven kernel must build the per-cone probe's coefficients,
-    # signed zeros included.
+    # signed zeros included.  The probe still searches the neighbouring
+    # doubles, so the tie-heavy pairs check that the plain solve is never
+    # beaten.
     rng = random.Random(order + 50)
-    for lo, hi in _cone_probe_pairs(rng, 12_000):
+    ties = _tie_pairs(random.Random(order + 55), 2000)
+    pairs = _cone_probe_pairs(rng, 12_000) + ties + [(hi, lo) for lo, hi in ties]
+    for lo, hi in pairs:
         want = bits(reference_embed(lo, hi, order))
         assert bits(embed(lo, hi, order).coeffs) == want, (lo, hi)
 
@@ -311,15 +338,12 @@ def _gate_pairs():
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_embed_kernel_matches_the_cone_probe_on_every_gate(order):
-    # On these pairs the plain solve is exact, so the kernel returns the
-    # probe's pair itself, leaving nothing to the neighbour search.
-    kernel = sys.modules["intalg.algebra"]._EMBED[ia.AlgebraOrder(order)]
+    # On these pairs the kernel's plain solve is the probe's pair, and its
+    # collapse gives both endpoints back exactly.
     for lo, hi in _gate_pairs():
-        want = bits(reference_embed(lo, hi, order))
-        assert bits(embed(lo, hi, order).coeffs) == want, (lo, hi)
-        if lo < hi:
-            plain = kernel(lo, hi)
-            assert plain is not None and bits(plain) == want, (lo, hi)
+        coeffs = embed(lo, hi, order).coeffs
+        assert bits(coeffs) == bits(reference_embed(lo, hi, order)), (lo, hi)
+        assert collapse(ia.AlgebraElement(order, coeffs)) == gi(lo, hi), (lo, hi)
 
 
 # Decimal pairs on which the plain solve lands an ulp off an endpoint, at
@@ -338,27 +362,19 @@ SEARCHED_PAIRS = {
 
 
 @pytest.mark.parametrize("order", ORDERS)
-def test_embed_searches_the_neighbours_when_the_plain_solve_misses(monkeypatch, order):
-    # An exact plain pair is taken as it is; any other runs the neighbour
-    # search, whose coefficients must still be the cone probe's.
-    module = sys.modules["intalg.interval"]
-    original = module._neighbors
-    searched = []
-
-    def counting(value):
-        searched.append(value)
-        return original(value)
-
-    monkeypatch.setattr(module, "_neighbors", counting)
+def test_embed_pairs_whose_plain_solve_misses_match_the_probe(order):
+    # The kernel keeps the plain pair where its collapse misses; the probe,
+    # which searches the neighbouring doubles, must find that same pair.
     for lo, hi in SEARCHED_PAIRS[order]:
         for pair in ((lo, hi), (hi, lo)):
-            want = bits(reference_embed(*pair, order))
-            searched.clear()
-            assert bits(embed(*pair, order).coeffs) == want, pair
-            assert searched, pair
-    searched.clear()
-    assert bits(embed(1.0, 3.0, order).coeffs) == bits(reference_embed(1.0, 3.0, order))
-    assert not searched
+            coeffs = embed(*pair, order).coeffs
+            assert bits(coeffs) == bits(reference_embed(*pair, order)), pair
+            got = collapse(ia.AlgebraElement(order, coeffs))
+            # exactly one endpoint misses, onto a neighbouring double
+            missed = [(g, w) for g, w in zip((got.lo, got.hi), pair) if g != w]
+            assert len(missed) == 1, (pair, got)
+            g, w = missed[0]
+            assert g in (math.nextafter(w, -math.inf), math.nextafter(w, math.inf)), (pair, got)
 
 
 def test_improper_pair_is_embedded_once(monkeypatch):
@@ -615,6 +631,10 @@ def test_embed_proper_is_nonnegative():
             lo = rng.uniform(-50, 50)
             hi = lo + rng.uniform(0, 50)
             assert all(c >= 0.0 for c in embed(lo, hi, order).coeffs)
+        # an improper pair is the negation of its mirror's embedding
+        for lo, hi in _tie_pairs(random.Random(order + 60), 2000):
+            assert all(c >= 0.0 for c in embed(lo, hi, order).coeffs), (lo, hi)
+            assert all(c <= 0.0 for c in embed(hi, lo, order).coeffs), (hi, lo)
 
 
 def test_collapse_examples():
@@ -906,6 +926,9 @@ def test_improper_stats():
     x = ia.IntervalNumber(TRUE, ia.AlgebraElement(4, (0, -16, -8, 0)))
     assert x.raw == gi(8, -16)
     assert (x.width, x.midpoint, x.norm) == (24.0, -4.0, 28.0)
+    # the endpoint pair reads the same and prints canonical
+    assert (x.raw.width, x.raw.midpoint, x.raw.norm) == (24.0, -4.0, 28.0)
+    assert str(x.raw) == str(x) == "[-16.0,8.0]"
 
 
 def test_norm_axioms():
@@ -992,6 +1015,8 @@ def test_equality_is_canonical_not_elementwise():
     assert x == y and x.coeffs == y.coeffs
     assert x == z and x.coeffs != z.coeffs
     assert hash(x) == hash(z)
+    # a string is not a number: no conversion, so unequal
+    assert (interval(1) == "1") is False and interval(1) != "1"
 
 
 def test_equal_values_hash_equal():

@@ -585,6 +585,11 @@ def test_schulz_requires_true_mode_and_order4():
         schulz_invert(deg_matrix(M3, order=5))
 
 
+def test_schulz_requires_a_square_matrix():
+    with pytest.raises(ShapeMismatchError, match=r"must be square, got shape \(1, 2\)"):
+        schulz_invert(deg_matrix(((1.0, 2.0),)))
+
+
 def _stop_residual(m, x):
     p = matmul(m, x)
     n = m.shape[0]
