@@ -11,15 +11,19 @@ Every coefficient operation runs a straight-line kernel per order, all of
 an order's kernels generated as one source and compiled on the order's first
 use: the product from the product schedule, which is read off the structure
 table; sum, difference, negation and scaling coefficientwise; collapse to
-endpoints from the generator intervals; and the embedding of a proper pair,
-whose cone tests and two-ray solves are written out from the cone table with
-the generator endpoints as constants: one plain solve per cone, whose
-collapse is at most one ulp off an endpoint, with no search.  That kernel is
-the only code that solves a cone.  Float addition does not associate,
-so the kernels' order of operations is part of the results the tests pin bit
-for bit: change the schedule or the generator and those results change with
-it.  ``_compile`` compiles all generated code: these kernels, the records'
-``__init__`` and ``_make``, and linalg's plane kernels.
+endpoints from the generator intervals; and the embedding of any pair of
+floats, whose cone tests and two-ray solves for a proper pair are written out
+from the cone table with the generator endpoints as constants: one plain
+solve per cone, whose collapse is at most one ulp off an endpoint, with no
+search.  That kernel is the only code that solves a cone.  The kernels do
+their own checks: collapse raises DomainError for a NaN endpoint and embed
+for a non-finite one, so callers index a kernel table directly
+(``_COLLAPSE[order](coeffs)``), through no wrapper.  Float addition does not
+associate, so the kernels' order of operations is part of the results the
+tests pin bit for bit: change the schedule or the generator and those
+results change with it.  ``_compile`` compiles all generated code: these
+kernels, the records' ``__init__`` and ``_make``, and linalg's plane
+kernels.
 """
 
 from __future__ import annotations
@@ -157,11 +161,16 @@ def _check_real(name: str, value) -> None:
 
 def _check_positive(name: str, value, finite: bool = True) -> None:
     """Raise ValueError, naming the argument, unless value is a real number
-    above 0, and finite unless told otherwise."""
+    above 0, and finite unless told otherwise; an int too large for a float,
+    such as 10**400, is not finite here."""
     _check_real(name, value)
     # each test is written so that NaN fails it
     if finite:
-        if not 0 < value < math.inf:
+        try:
+            ok = 0 < value and math.isfinite(value)
+        except OverflowError:  # isfinite converts an int to float
+            ok = False
+        if not ok:
             raise ValueError(f"{name} must be positive and finite")
     elif not value > 0:
         raise ValueError(f"{name} must be positive")
@@ -263,14 +272,22 @@ def _kernel_source(order: AlgebraOrder) -> str:
     ``add``, ``sub``, ``neg`` and ``scale`` (``f * a[i]``) act
     coefficientwise.  ``collapse(a)`` is ``(lo, hi)``, each endpoint
     ``0.0 + a0*g0 + a1*g1 + ...`` over the generators' endpoints, zeros
-    included, so an infinite coefficient still makes a NaN endpoint.
-    ``embed(lo, hi)``, for finite lo < hi, finds the pair's cone with the
-    cone table's gates and writes it as a*e_ia + b*e_ib on the cone's rays.
-    When e_ib has a zero endpoint, the other endpoint's equation fixes a
-    alone; otherwise a comes from Cramer's rule.  b then solves the hi
-    equation, or the lo one where e_ib's hi endpoint is zero.  This one
-    plain solve is the embedding; its collapse can land one ulp off an
-    endpoint, and no pair of neighbouring doubles does better:
+    included, so an infinite coefficient still makes a NaN endpoint, for
+    which it raises DomainError, as overflowed coefficients meet in
+    inf - inf or inf * 0.  ``embed(lo, hi)`` takes any pair of floats and
+    raises DomainError unless both are finite (x - x is 0.0 only for a
+    finite x).  A point lo == hi is v on [1, 1] and the zero hi - lo on
+    [0, 1] when v >= 0 (negative zero included), -v on [-1, -1] and hi - lo
+    on [-1, 0] otherwise: exact, and hi - lo rather than 0.0 keeps the sign
+    of that zero for the pair (0.0, -0.0).  An improper pair is the negation
+    of the mirrored proper pair's embedding.  A proper pair lo < hi is found
+    in its cone with the cone table's gates and written as a*e_ia + b*e_ib
+    on the cone's rays.  When e_ib has a zero endpoint, the other
+    endpoint's equation fixes a alone; otherwise a comes from Cramer's
+    rule.  b then solves the hi equation, or the lo one where e_ib's hi
+    endpoint is zero.  This one plain solve is the embedding; its collapse
+    can land one ulp off an endpoint, and no pair of neighbouring doubles
+    does better:
 
     * Both endpoints of e_ib are nonzero only in the Cramer cones, rows 3
       and 4 of order 7.  There lo lies in [-2hi, -hi/2], so lo + hi is
@@ -296,15 +313,36 @@ def _kernel_source(order: AlgebraOrder) -> str:
         "sub": ("a, b", [f"a{i} - b{i}" for i in range(n)]),
         "neg": ("a", [f"-a{i}" for i in range(n)]),
         "scale": ("a, f", [f"f * a{i}" for i in range(n)]),
-        "collapse": ("a", endpoints),
     }
+    unpack = {p: "    " + ", ".join(f"{p}{i}" for i in range(n)) + f" = {p}" for p in "ab"}
     lines = []
     for name, (params, values) in kernels.items():
         lines.append(f"def {name}({params}):")
-        for p in ("a", "b") if "b" in params else ("a",):
-            lines.append("    " + ", ".join(f"{p}{i}" for i in range(n)) + f" = {p}")
+        lines += [unpack[p] for p in ("a", "b") if p in params]
         lines += ["    return (", *(f"        {v}," for v in values), "    )"]
-    lines.append("def embed(lo, hi):")
+    points = (["lo", "hi - lo"], ["0.0", "0.0", "hi - lo", "-hi"])
+    points = [", ".join(p + ["0.0"] * (n - len(p))) for p in points]
+    lines += [
+        "def collapse(a):",
+        unpack["a"],
+        f"    lo = {endpoints[0]}",
+        f"    hi = {endpoints[1]}",
+        "    if lo != lo or hi != hi:",
+        "        raise DomainError(",
+        f'            f"element {{a!r}} of order {n} has no endpoints: "',
+        '            f"its collapse ({lo!r}, {hi!r}) is NaN"',
+        "        )",
+        "    return (lo, hi)",
+        "def embed(lo, hi):",
+        "    if lo - lo != 0.0 or hi - hi != 0.0:",
+        '        raise DomainError(f"interval endpoints must be finite, got ({lo!r}, {hi!r})")',
+        "    if lo == hi:",
+        "        if lo >= 0.0:",
+        f"            return ({points[0]})",
+        f"        return ({points[1]})",
+        "    if lo > hi:",
+        "        return neg(embed(-lo, -hi))",
+    ]
     cones = _CONES[order]
     for row, ((g0, g1), ia, ib) in enumerate(cones):
         if row == len(cones) - 1:
@@ -360,7 +398,8 @@ def _first_use(name: str, order: AlgebraOrder):
 
     def kernel(*args):
         if _KERNELS[name][order] is kernel:
-            namespace = _compile(_kernel_source(order), f"<kernels, order {int(order)}>")
+            label = f"<kernels, order {int(order)}>"
+            namespace = _compile(_kernel_source(order), label, DomainError=DomainError)
             for other, table in _KERNELS.items():
                 table[order] = namespace[other]
         return _KERNELS[name][order](*args)

@@ -6,14 +6,17 @@ collapsing back to endpoints mid-computation would forfeit distributivity,
 so arithmetic here never does it implicitly.
 
 An ``IntervalNumber`` is one flat object: mode, order and coefficient tuple;
-its endpoints are collapsed on each read.  Its operators run the order's
-generated kernels (``algebra._MUL``, ``_ADD``, ...) on coefficient tuples, a
-real operand goes straight to the coefficients of its point interval, and the
-``AlgebraElement`` view is built only when asked for.  One dispatch,
-``_embed_coeffs``, turns endpoint pairs into coefficient tuples for ``embed``,
-the lifted functions and semantic negation alike, and ``collapse`` builds its
-``GeneralizedInterval`` with the record's trusted ``_make``, so the hot paths
-build no element and convert no float twice.
+its endpoints are collapsed on each read.  Each operator, float read and lift
+is one call of the order's generated kernel (``algebra._MUL``, ``_ADD``, ...,
+``_COLLAPSE``, ``_EMBED``) on coefficient tuples or floats, and the kernels do
+their own checks: the collapse kernel refuses a NaN endpoint and the embed
+kernel a non-finite one, points and improper pairs included.  An operand of
+the same mode and order is taken as it is; any other goes through
+``_coerce``, where a real becomes ``float(v)`` and then its point's
+coefficients, and an int too large for a float meets the checks of an
+infinity.  The ``AlgebraElement`` view is built only when asked for, and
+``collapse`` builds its ``GeneralizedInterval`` with the record's trusted
+``_make``, so the hot paths build no element and convert no float twice.
 
 Interval text has one grammar: ``_Reader`` reads the tokens and literals of
 expressions (``exprcalc``), option values and matrix files (``linalg``).
@@ -162,48 +165,19 @@ def _norm(lo: float, hi: float) -> float:
 # Embedding and collapse
 # ---------------------------------------------------------------------------
 
-def _endpoints(x: AlgebraElement | IntervalNumber) -> tuple[float, float]:
-    """x's raw (lo, hi) straight off its order's collapse kernel; DomainError
-    when one is NaN, as overflowed coefficients meet in inf - inf or inf * 0."""
-    lo, hi = _COLLAPSE[x.order](x.coeffs)
-    if lo != lo or hi != hi:
-        raise DomainError(
-            f"element {x.coeffs!r} of order {int(x.order)} has no "
-            f"endpoints: its collapse ({lo!r}, {hi!r}) is NaN"
-        )
-    return lo, hi
-
-
-def _canonical_endpoints(x: IntervalNumber) -> tuple[float, float]:
-    """x's (lo, hi) off the collapse kernel, ordered as ``canonical`` orders them."""
-    lo, hi = _endpoints(x)
-    return (lo, hi) if lo <= hi else (hi, lo)
-
-
 def collapse(element: AlgebraElement) -> GeneralizedInterval:
     """Map a coefficient vector back to its endpoint pair (a lossy linear
     map); raises DomainError when an endpoint comes out NaN."""
-    return _pair(*_endpoints(element))  # the kernel's endpoints are floats already
+    return _pair(*_COLLAPSE[element.order](element.coeffs))  # floats already
 
 
-def _check_finite(lo: float, hi: float) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"interval endpoints must be finite, got ({lo!r}, {hi!r})")
-
-
-def _embed_point(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...]:
-    """The coefficients of ``embed(lo, hi, order)`` for finite ``lo == hi``,
-    in closed form.
-
-    For a point the first pair the ray probe tries is already exact: v on
-    [1, 1] and the zero hi - lo on [0, 1] when v >= 0 (negative zero
-    included), -v on [-1, -1] and hi - lo on [-1, 0] otherwise.  Collapsing
-    adds only zeros to v.  Taking hi - lo rather than 0.0 keeps the sign of
-    that zero for the pair (0.0, -0.0).
-    """
-    if lo >= 0.0:
-        return (lo, hi - lo, 0.0, 0.0, 0.0, 0.0, 0.0)[:order]
-    return (0.0, 0.0, hi - lo, -hi, 0.0, 0.0, 0.0)[:order]
+def _float(v: float) -> float:
+    """float(v) for a real v, except that an int too large for a float is an
+    infinity of its sign, so that it meets the checks an infinity meets."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement:
@@ -217,28 +191,17 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
     by that ulp.  Endpoints must be finite.
     """
     order = _as_order(order)
-    return _element(order, _embed_coeffs(float(lo), float(hi), order))
-
-
-def _embed_coeffs(lo: float, hi: float, order: AlgebraOrder) -> tuple[float, ...]:
-    """The coefficients of ``embed(lo, hi, order)`` for float endpoints and
-    an AlgebraOrder member, which is all the lifted functions and semantic
-    negation need: they have floats in hand and want no element."""
-    _check_finite(lo, hi)
-    if lo == hi:
-        return _embed_point(lo, hi, order)
-    if lo > hi:
-        return _NEG[order](_EMBED[order](-lo, -hi))
-    return _EMBED[order](lo, hi)
+    return _element(order, _EMBED[order](_float(lo), _float(hi)))
 
 
 def _real(v: float, order: AlgebraOrder) -> tuple[float, ...]:
     """The coefficients of the point interval [v, v] of a real operand,
     which must be finite."""
-    v = float(v)
-    if not math.isfinite(v):
-        _check_finite(v, v)
-    return _embed_point(v, v, order)
+    try:
+        v = float(v)
+    except OverflowError:
+        v = _float(v)  # _float's infinity, without a call on the common path
+    return _EMBED[order](v, v)
 
 
 def _point(v: float, order: AlgebraOrder, mode: ArithmeticMode) -> IntervalNumber:
@@ -297,23 +260,26 @@ class IntervalNumber(_Record):
 
     @property
     def min(self) -> float:
-        return _canonical_endpoints(self)[0]
+        lo, hi = _COLLAPSE[self.order](self.coeffs)
+        return lo if lo <= hi else hi
 
     @property
     def max(self) -> float:
-        return _canonical_endpoints(self)[1]
+        lo, hi = _COLLAPSE[self.order](self.coeffs)
+        return hi if lo <= hi else lo
 
     @property
     def width(self) -> float:
-        return _width(*_endpoints(self))
+        return _width(*_COLLAPSE[self.order](self.coeffs))
 
     @property
     def midpoint(self) -> float:
-        return _midpoint(*_endpoints(self))
+        lo, hi = _COLLAPSE[self.order](self.coeffs)
+        return (lo + hi) / 2.0  # _midpoint, without the call
 
     @property
     def norm(self) -> float:
-        return _norm(*_endpoints(self))
+        return _norm(*_COLLAPSE[self.order](self.coeffs))
 
     __abs__ = norm.fget
 
@@ -347,59 +313,71 @@ class IntervalNumber(_Record):
         return None
 
     # -- arithmetic ---------------------------------------------------------
+    # Each binary operator takes an operand of its own mode and order as it
+    # is, and hands any other to _coerce.
 
     def __neg__(self) -> "IntervalNumber":
         return _number(self.mode, self.order, _negated(self))
 
     def __add__(self, other) -> "IntervalNumber":
-        o = self._coerce(other)
-        if o is None:
+        mode, order = self.mode, self.order
+        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
+            o = other.coeffs
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
-        return _number(self.mode, self.order, _ADD[self.order](self.coeffs, o))
+        return _number(mode, order, _ADD[order](self.coeffs, o))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "IntervalNumber":
-        o = self._coerce(other)
-        if o is None:
+        mode, order = self.mode, self.order
+        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
+            o = other.coeffs
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
-        order = self.order
-        if self.mode is ArithmeticMode.TRUE:
-            return _number(self.mode, order, _SUB[order](self.coeffs, o))
+        if mode is ArithmeticMode.TRUE:
+            return _number(mode, order, _SUB[order](self.coeffs, o))
         if not isinstance(other, IntervalNumber):
-            other = _number(self.mode, order, o)
-        return _number(self.mode, order, _ADD[order](self.coeffs, _negated(other)))
+            other = _number(mode, order, o)
+        return _number(mode, order, _ADD[order](self.coeffs, _negated(other)))
 
     def __rsub__(self, other) -> "IntervalNumber":
-        o = self._coerce(other)
-        if o is None:
+        mode, order = self.mode, self.order
+        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
+            o = other.coeffs
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
-        if self.mode is ArithmeticMode.TRUE:
-            return _number(self.mode, self.order, _SUB[self.order](o, self.coeffs))
-        return _number(self.mode, self.order, _ADD[self.order](o, _negated(self)))
+        if mode is ArithmeticMode.TRUE:
+            return _number(mode, order, _SUB[order](o, self.coeffs))
+        return _number(mode, order, _ADD[order](o, _negated(self)))
 
     def __mul__(self, other) -> "IntervalNumber":
-        o = self._coerce(other)
-        if o is None:
+        mode, order = self.mode, self.order
+        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
+            o = other.coeffs
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
-        return _number(self.mode, self.order, _MUL[self.order](self.coeffs, o))
+        return _number(mode, order, _MUL[order](self.coeffs, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "IntervalNumber":
-        o = self._coerce(other)
-        if o is None:
+        mode, order = self.mode, self.order
+        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
+            divisor = other
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
-        order = self.order
-        if not isinstance(other, IntervalNumber):
-            other = _number(self.mode, order, o)
-        return _number(self.mode, order, _MUL[order](self.coeffs, _reciprocal(other)))
+        else:
+            divisor = other if isinstance(other, IntervalNumber) else _number(mode, order, o)
+        return _number(mode, order, _MUL[order](self.coeffs, _reciprocal(divisor)))
 
     def __rtruediv__(self, other) -> "IntervalNumber":
-        o = self._coerce(other)
-        if o is None:
+        mode, order = self.mode, self.order
+        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
+            o = other.coeffs
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
-        return _number(self.mode, self.order, _MUL[self.order](o, _reciprocal(self)))
+        return _number(mode, order, _MUL[order](o, _reciprocal(self)))
 
     def __pow__(self, exponent) -> "IntervalNumber":
         return pow_int(self, exponent)
@@ -410,17 +388,19 @@ class IntervalNumber(_Record):
         if isinstance(other, (int, float)):
             # The point [v, v] collapses to exactly (v, v), so no embedding
             # is needed; nan equals nothing, inf only an overflowed interval.
-            v = float(other)
-            lo, hi = _canonical_endpoints(self)
+            v = _float(other)
+            lo, hi = _COLLAPSE[self.order](self.coeffs)
             return lo == v and hi == v
         if not isinstance(other, IntervalNumber):
             return NotImplemented
-        # no endpoint is NaN, so comparing the tuples compares the floats
-        return _canonical_endpoints(self) == _canonical_endpoints(other)
+        # no endpoint is NaN, so comparing the sorted pairs compares the floats
+        return sorted(_COLLAPSE[self.order](self.coeffs)) == sorted(
+            _COLLAPSE[other.order](other.coeffs)
+        )
 
     def __hash__(self) -> int:
         # A point interval equals its scalar, so it must hash like one.
-        lo, hi = _canonical_endpoints(self)
+        lo, hi = sorted(_COLLAPSE[self.order](self.coeffs))
         if lo == hi:
             return hash(lo)
         return hash((lo, hi))
@@ -442,7 +422,7 @@ class IntervalNumber(_Record):
 
     def _cmp(self, other) -> int:
         if isinstance(other, (int, float)):
-            other = _point(float(other), self.order, self.mode)
+            other = _point(other, self.order, self.mode)
         elif not isinstance(other, IntervalNumber):
             raise TypeError(f"cannot compare IntervalNumber with {type(other)!r}")
         return compare(self, other)
@@ -450,13 +430,12 @@ class IntervalNumber(_Record):
     def contains(self, other) -> bool:
         """Set containment of the canonical intervals."""
         if isinstance(other, (int, float)):
-            v = float(other)
-            lo, hi = _canonical_endpoints(self)
-            return lo <= v <= hi
+            lo, hi = sorted(_COLLAPSE[self.order](self.coeffs))
+            return lo <= _float(other) <= hi
         if not isinstance(other, IntervalNumber):
             raise TypeError(f"cannot compare IntervalNumber with {type(other)!r}")
-        a_lo, a_hi = _canonical_endpoints(self)
-        b_lo, b_hi = _canonical_endpoints(other)
+        a_lo, a_hi = sorted(_COLLAPSE[self.order](self.coeffs))
+        b_lo, b_hi = sorted(_COLLAPSE[other.order](other.coeffs))
         return a_lo <= b_lo and b_hi <= a_hi
 
 
@@ -468,8 +447,8 @@ def _negated(x: IntervalNumber) -> tuple[float, ...]:
     semantic mode the embedding of the mirrored canonical pair."""
     if x.mode is ArithmeticMode.TRUE:
         return _NEG[x.order](x.coeffs)
-    lo, hi = _canonical_endpoints(x)
-    return _embed_coeffs(-hi, -lo, x.order)
+    lo, hi = sorted(_COLLAPSE[x.order](x.coeffs))
+    return _EMBED[x.order](-hi, -lo)
 
 
 def _reciprocal(v: IntervalNumber) -> tuple[float, ...]:
@@ -514,10 +493,11 @@ def interval(
         _check_real("eps", eps)
         if eps < 0:
             raise ValueError("eps must be nonnegative")
-        lo, hi = float(lo) - eps, float(lo) + eps
+        c, eps = _float(lo), _float(eps)
+        lo, hi = c - eps, c + eps
     elif hi is None:
-        return _point(float(lo), _as_order(order), mode)
-    e = embed(float(lo), float(hi), order)
+        return _point(lo, _as_order(order), mode)
+    e = embed(lo, hi, order)
     return _number(mode, e.order, e.coeffs)
 
 
@@ -527,8 +507,8 @@ def compare(x: IntervalNumber, y: IntervalNumber) -> int:
     Ties on the deciding key fall through to the other key; a full tie means
     equal.  Returns -1, 0 or 1.
     """
-    a_lo, a_hi = _canonical_endpoints(x)
-    b_lo, b_hi = _canonical_endpoints(y)
+    a_lo, a_hi = sorted(_COLLAPSE[x.order](x.coeffs))
+    b_lo, b_hi = sorted(_COLLAPSE[y.order](y.coeffs))
     widths = (_width(a_lo, a_hi), _width(b_lo, b_hi))
     midpoints = (_midpoint(a_lo, a_hi), _midpoint(b_lo, b_hi))
     nested = (a_lo <= b_lo and b_hi <= a_hi) or (b_lo <= a_lo and a_hi <= b_hi)
@@ -543,8 +523,9 @@ def compare(x: IntervalNumber, y: IntervalNumber) -> int:
 
 def scalar_mul(a: float, x: IntervalNumber) -> IntervalNumber:
     """Scale by a real: nonnegative factors scale coefficients directly."""
-    a = float(a)
-    _check_finite(a, a)
+    a = _float(a)
+    if a - a != 0.0:
+        raise DomainError(f"interval endpoints must be finite, got ({a!r}, {a!r})")
     order = x.order
     if a >= 0.0 or x.mode is ArithmeticMode.TRUE:
         return _number(x.mode, order, _SCALE[order](x.coeffs, a))
@@ -560,7 +541,7 @@ def pow_int(x: IntervalNumber, exponent: int) -> IntervalNumber:
     order = x.order
     mul = _MUL[order]
     coeffs = x.coeffs
-    acc = _embed_point(1.0, 1.0, order)  # the unit [1, 1]
+    acc = _EMBED[order](1.0, 1.0)  # the unit [1, 1]
     for _ in range(exponent):
         acc = mul(acc, coeffs)
     return _number(x.mode, order, acc)
@@ -572,7 +553,8 @@ def pow_int(x: IntervalNumber, exponent: int) -> IntervalNumber:
 
 def _lift(fn: Callable[[float], float], x: IntervalNumber, domain: str = "") -> IntervalNumber:
     """fn on x's raw endpoints, embedded; fn's ValueError marks its domain's edge."""
-    lo, hi = _endpoints(x)
+    order = x.order
+    lo, hi = _COLLAPSE[order](x.coeffs)
     try:
         lo, hi = fn(lo), fn(hi)
     except OverflowError:
@@ -583,7 +565,7 @@ def _lift(fn: Callable[[float], float], x: IntervalNumber, domain: str = "") -> 
         raise DomainError(
             f"{fn.__name__} requires {domain} interval, got {format_interval(x.raw)}"
         ) from None
-    return _number(x.mode, x.order, _embed_coeffs(lo, hi, x.order))
+    return _number(x.mode, order, _EMBED[order](lo, hi))
 
 
 def exp(x: IntervalNumber) -> IntervalNumber:

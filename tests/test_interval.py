@@ -108,6 +108,26 @@ def test_non_finite_scalars_raise_domain_error():
         x + math.nan
     with pytest.raises(DomainError):
         x < math.inf
+    # An int too large for a float meets the checks of an infinity of its
+    # sign: a DomainError where it is converted, False from == and contains.
+    huge = 10**400
+    for convert in (
+        lambda: x + huge,
+        lambda: huge - x,
+        lambda: x / huge,
+        lambda: x * -huge,
+        lambda: x < huge,
+        lambda: scalar_mul(huge, x),
+        lambda: interval(huge),
+        lambda: interval(1, eps=2**1024),
+        lambda: interval(1, huge),
+        lambda: embed(1, huge),
+        lambda: embed(-huge, 1),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            convert()
+    assert not x == huge and x != -huge
+    assert not x.contains(huge) and not x.contains(-huge)
     # Equality only compares endpoints: no finite interval equals nan or inf.
     for order in ORDERS:
         p = interval(2.0, order=order)
@@ -133,6 +153,58 @@ def _outcome(fn):
     except ia.IntalgError as exc:
         return type(exc), str(exc)
     return r.mode, r.order, bits(r.element.coeffs)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_kernel_checks_keep_their_domain_error_text(order):
+    # The collapse kernel refuses a NaN endpoint and the embed kernel a
+    # non-finite one, with the texts of the Python checks they replaced.
+    def number(mode, coeffs):
+        return ia.IntervalNumber(mode, ia.AlgebraElement(order, coeffs))
+
+    def text(fn):
+        with pytest.raises(DomainError) as err:
+            fn()
+        return str(err.value)
+
+    # inf on [1, 1] and on [-1, -1]: each endpoint is inf - inf
+    nan_coeffs = (math.inf, 0.0, 0.0, math.inf) + (0.0,) * (order - 4)
+    nan_text = (
+        f"element {nan_coeffs!r} of order {order} has no endpoints: "
+        "its collapse (nan, nan) is NaN"
+    )
+    for mode in (TRUE, SEM):
+        x = number(mode, nan_coeffs)
+        for read in ("raw", "min", "max", "width", "midpoint", "norm"):
+            assert text(lambda: getattr(x, read)) == nan_text, read
+        for fn in (lambda: x == x, lambda: hash(x), lambda: ia.exp(x)):
+            assert text(fn) == nan_text
+
+    def finite_text(lo, hi):
+        return f"interval endpoints must be finite, got ({lo!r}, {hi!r})"
+
+    inf_coeffs = (math.inf,) + (0.0,) * (order - 1)  # collapses to (inf, inf)
+    cases = [
+        (lambda: embed(math.inf, 1.0, order), finite_text(math.inf, 1.0)),
+        (lambda: embed(1.0, -math.inf, order), finite_text(1.0, -math.inf)),
+        (lambda: embed(-1.0, math.nan, order), finite_text(-1.0, math.nan)),
+        (lambda: interval(math.inf, order=order), finite_text(math.inf, math.inf)),
+        (lambda: interval(0.0, -math.inf, order=order), finite_text(0.0, -math.inf)),
+        (lambda: -number(SEM, inf_coeffs), finite_text(-math.inf, -math.inf)),
+        (lambda: -number(SEM, nan_coeffs), nan_text),
+    ]
+    for lift in (ia.exp, ia.log, ia.sqrt):
+        cases.append((lambda f=lift: f(number(TRUE, inf_coeffs)), finite_text(math.inf, math.inf)))
+    for mode in (TRUE, SEM):
+        x = interval(-1, 2, order=order, mode=mode)
+        cases += [
+            (lambda x=x: x + math.nan, finite_text(math.nan, math.nan)),
+            (lambda x=x: math.inf * x, finite_text(math.inf, math.inf)),
+            (lambda x=x: x - -math.inf, finite_text(-math.inf, -math.inf)),
+            (lambda x=x: x < math.inf, finite_text(math.inf, math.inf)),
+        ]
+    for fn, want in cases:
+        assert text(fn) == want
 
 
 @pytest.mark.parametrize("op", ("+", "-", "*", "/"))

@@ -140,6 +140,8 @@ def test_optimizer_config_defaults_and_checks():
     for args, kwargs, field in (
         ((0,), {}, "h"),
         ((), {"rho": 0}, "rho"),
+        ((), {"rho": 10**400}, "rho"),  # finite as an int, too large for a float
+        ((10**400,), {}, "h"),
         ((1e-6, 1e-2, -1e-6), {}, "eps"),
         ((), {"max_iter": 0}, "max_iter"),
         ((True,), {}, "h"),
