@@ -110,7 +110,9 @@ def test_fd_full_requires_true_mode():
 
 
 @pytest.mark.parametrize("fd", (fd_first, fd_second))
-@pytest.mark.parametrize("h", (0.0, -1e-6, math.nan, math.inf, 10**400, True, "1e-6", None))
+@pytest.mark.parametrize(
+    "h", (0.0, -1e-6, math.nan, math.inf, pytest.param(10**400, id="10**400"), True, "1e-6", None)
+)
 def test_fd_rejects_a_step_that_is_not_a_positive_finite_real(fd, h):
     # h = 0 once raised a bare ZeroDivisionError in midpoint style
     for style in FdStyle:
