@@ -143,6 +143,15 @@ def _slot_make(cls):
     return _generated(cls, "_make", source, _new=object.__new__, _cls=cls, **setters)
 
 
+def _float(v: float) -> float:
+    """float(v) for a real v, except that an int too large for a float is an
+    infinity of its sign, so that it meets the checks an infinity meets."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _check_count(name: str, value) -> None:
     """Raise ValueError, naming the argument, unless value is an int (a bool
     is not one here) of at least 1: an iteration count."""
@@ -166,11 +175,7 @@ def _check_positive(name: str, value, finite: bool = True) -> None:
     _check_real(name, value)
     # each test is written so that NaN fails it
     if finite:
-        try:
-            ok = 0 < value and math.isfinite(value)
-        except OverflowError:  # isfinite converts an int to float
-            ok = False
-        if not ok:
+        if not (0 < value and math.isfinite(_float(value))):
             raise ValueError(f"{name} must be positive and finite")
     elif not value > 0:
         raise ValueError(f"{name} must be positive")
@@ -437,7 +442,7 @@ class AlgebraElement(_Record):
 
     def __new__(cls, order: int | AlgebraOrder, coeffs) -> "AlgebraElement":
         order = _as_order(order)
-        coeffs = tuple(float(c) for c in coeffs)
+        coeffs = tuple(map(_float, coeffs))
         if len(coeffs) != int(order):
             raise ValueError(
                 f"expected {int(order)} coefficients, got {len(coeffs)}"
@@ -470,7 +475,7 @@ class AlgebraElement(_Record):
         return _element(self.order, _NEG[self.order](self.coeffs))
 
     def scale(self, factor: float) -> "AlgebraElement":
-        return _element(self.order, _SCALE[self.order](self.coeffs, factor))
+        return _element(self.order, _SCALE[self.order](self.coeffs, _float(factor)))
 
 
 _element = AlgebraElement._make  # every result: an AlgebraOrder and floats, unchecked

@@ -53,6 +53,7 @@ from .algebra import (
     _as_order,
     _check_real,
     _element,
+    _float,
     _Record,
     alg_inv,
 )
@@ -118,7 +119,7 @@ class GeneralizedInterval(_Record):
     hi: float
 
     def __new__(cls, lo: float, hi: float) -> "GeneralizedInterval":
-        return _pair(float(lo), float(hi))
+        return _pair(_float(lo), _float(hi))
 
     @property
     def is_proper(self) -> bool:
@@ -169,15 +170,6 @@ def collapse(element: AlgebraElement) -> GeneralizedInterval:
     """Map a coefficient vector back to its endpoint pair (a lossy linear
     map); raises DomainError when an endpoint comes out NaN."""
     return _pair(*_COLLAPSE[element.order](element.coeffs))  # floats already
-
-
-def _float(v: float) -> float:
-    """float(v) for a real v, except that an int too large for a float is an
-    infinity of its sign, so that it meets the checks an infinity meets."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
 
 
 def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement:
@@ -505,8 +497,11 @@ def compare(x: IntervalNumber, y: IntervalNumber) -> int:
     """Total order: midpoint first for non-nested pairs, width first for nested.
 
     Ties on the deciding key fall through to the other key; a full tie means
-    equal.  Returns -1, 0 or 1.
+    equal.  Returns -1, 0 or 1; TypeError unless both are interval numbers.
     """
+    for v in (x, y):
+        if not isinstance(v, IntervalNumber):
+            raise TypeError(f"compare takes IntervalNumbers, not {type(v).__name__}")
     a_lo, a_hi = sorted(_COLLAPSE[x.order](x.coeffs))
     b_lo, b_hi = sorted(_COLLAPSE[y.order](y.coeffs))
     widths = (_width(a_lo, a_hi), _width(b_lo, b_hi))
@@ -586,6 +581,12 @@ def sqrt(x: IntervalNumber) -> IntervalNumber:
 # ---------------------------------------------------------------------------
 
 def _require_proper(g: GeneralizedInterval, op: str) -> GeneralizedInterval:
+    """g, if it is a GeneralizedInterval (TypeError) with finite endpoints
+    (DomainError: so a result can overflow but is never NaN) and lo <= hi."""
+    if not isinstance(g, GeneralizedInterval):
+        raise TypeError(f"{op} takes GeneralizedIntervals, not {type(g).__name__}")
+    if not (math.isfinite(g.lo) and math.isfinite(g.hi)):
+        raise DomainError(f"{op} requires finite endpoints, got {g!r}")
     if not g.is_proper:
         raise ValueError(f"{op} requires proper intervals, got {g!r}")
     return g
@@ -629,7 +630,10 @@ def format_number(value: float) -> str:
     """12 significant digits, with a trailing .0 on integral values."""
     if value == 0.0:
         value = 0.0  # never print the sign of a negative zero
-    s = "%.12g" % value
+    try:
+        s = "%.12g" % value
+    except OverflowError:  # an int too large for a float
+        s = "%.12g" % _float(value)
     if s.lstrip("+-").isdigit():
         s += ".0"
     return s

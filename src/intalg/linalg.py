@@ -72,10 +72,14 @@ __all__ = [
 
 
 def _check_uniform(entries: Sequence[IntervalNumber], what: str) -> None:
+    """Raise unless entries are interval numbers (TypeError), at least one
+    (ShapeMismatchError), of one mode and one order."""
     if not entries:
         raise ShapeMismatchError(f"{what} must not be empty")
     first = entries[0]
-    for e in entries[1:]:
+    for e in entries:
+        if not isinstance(e, IntervalNumber):
+            raise TypeError(f"{what} entries must be IntervalNumbers, not {type(e).__name__}")
         if e.mode is not first.mode:
             raise ModeMismatchError(f"{what} mixes arithmetic modes")
         if e.order != first.order:

@@ -63,8 +63,11 @@ class OptimizerConfig(_Record):
 
 def _fd_style(x: IntervalNumber, h: float, style: FdStyle | str) -> FdStyle:
     """Check a finite difference's arguments and return ``FdStyle(style)``:
-    h as OptimizerConfig checks it, and full style only for x in true
-    arithmetic.  A member passes without the enum lookup."""
+    x an interval number (TypeError), h as OptimizerConfig checks it, and
+    full style only for x in true arithmetic.  A member passes without the
+    enum lookup."""
+    if not isinstance(x, IntervalNumber):
+        raise TypeError(f"x must be an IntervalNumber, not {type(x).__name__}")
     _check_positive("h", h)
     if style.__class__ is not FdStyle:
         style = FdStyle(style)
@@ -122,9 +125,9 @@ def fd_first(
 ) -> IntervalNumber:
     """Central first difference (f(x+h) - f(x-h)) / 2h.
 
-    h must be a positive, finite real and style an FdStyle member or its
-    value; anything else raises ValueError.  A step that rounds away next to
-    the center raises DomainError.
+    x must be an interval number (TypeError), h a positive, finite real and
+    style an FdStyle member or its value; anything else raises ValueError.
+    A step that rounds away next to the center raises DomainError.
     """
     return _first_difference(f, x, h, _fd_style(x, h, style))[3]
 

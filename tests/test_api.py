@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -223,3 +224,82 @@ def test_records_are_written_only_while_they_are_built():
     assert [where for owner, where in found if owner not in builders] == []
     # and the scan sees every builder, so it is not passing vacuously
     assert {owner for owner, _ in found} == builders
+
+
+def _float_calls(tree):
+    """(owner, line) for each call of the builtin float, or of map with float."""
+    for owner, node in _owned_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            called = node.func.id
+            if called == "map" and node.args and isinstance(node.args[0], ast.Name):
+                called = node.args[0].id
+            if called == "float":
+                yield owner, node.lineno
+
+
+def test_reals_are_converted_in_one_place():
+    # algebra._float turns a caller's real into a float, an int too large
+    # for one into an infinity; _real inlines it on the operators' path, the
+    # token readers convert literal text, and the plane kernels build their
+    # identity from bools
+    allowed = {
+        "algebra._float",
+        "interval._real",
+        "interval._Reader.number",
+        "exprcalc._Parser.parse",
+        "exprcalc._Parser.exponent",
+        "linalg._plane_product",
+    }
+    found = [
+        (f"{path.stem}.{owner}", f"{path.name}:{line}")
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for owner, line in _float_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert [where for owner, where in found if owner not in allowed] == []
+    assert {owner for owner, _ in found} == allowed
+
+
+X = intalg.interval(1, 2)
+GI = intalg.GeneralizedInterval(1, 2)
+
+# Each public entry point that takes a real or an interval, with the fed
+# value in that place; a Minkowski op gets it raw and as the pair [v, v].
+ENTRY_POINTS = {
+    "GeneralizedInterval": lambda v: intalg.GeneralizedInterval(v, 1),
+    "AlgebraElement": lambda v: intalg.AlgebraElement(4, (v, 0, 0, 0)),
+    "scale": lambda v: X.element.scale(v),
+    "interval": lambda v: intalg.interval(v),
+    "interval-hi": lambda v: intalg.interval(1, v),
+    "interval-eps": lambda v: intalg.interval(1, eps=v),
+    "embed": lambda v: intalg.embed(v, 1),
+    "scalar_mul": lambda v: intalg.scalar_mul(v, X),
+    "format_number": lambda v: intalg.format_number(v),
+    **{
+        f"{op.__name__}{how}": (lambda v, op=op, pair=pair: op(pair(v), GI))
+        for op in (intalg.mink_add, intalg.mink_sub, intalg.mink_mul, intalg.mink_div)
+        for how, pair in (("", lambda v: v), ("-pair", lambda v: intalg.GeneralizedInterval(v, v)))
+    },
+    "IntervalVector": lambda v: intalg.IntervalVector([X, v]),
+    "IntervalMatrix": lambda v: intalg.IntervalMatrix([[v]]),
+    "compare": lambda v: intalg.compare(X, v),
+    "compare-first": lambda v: intalg.compare(v, X),
+    "fd_first": lambda v: intalg.fd_first(lambda x: x * x, v),
+    "fd_first-h": lambda v: intalg.fd_first(lambda x: x * x, X, v),
+    "OptimizerConfig": lambda v: intalg.OptimizerConfig(rho=v),
+}
+BAD_VALUES = {"10**400": 10**400, "-10**400": -(10**400), "inf": math.inf,
+              "nan": math.nan, "str": "a", "None": None}
+
+
+@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=list(BAD_VALUES))
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_bad_value_is_refused_with_a_typed_error(name, value):
+    # never a bare OverflowError (an int too large for a float) or
+    # AttributeError (a non-interval read as one); a record may hold a NaN,
+    # a Minkowski result may not
+    try:
+        result = ENTRY_POINTS[name](value)
+    except (TypeError, ValueError, intalg.IntalgError):
+        return
+    if name.startswith("mink_"):
+        assert not (math.isnan(result.lo) or math.isnan(result.hi)), result

@@ -1117,6 +1117,43 @@ def test_mink_examples():
                 op(x, y)
 
 
+@pytest.mark.parametrize("op", (mink_add, mink_sub, mink_mul, mink_div))
+def test_mink_refuses_operands_that_are_not_finite_pairs(op):
+    # mink_mul([inf, inf], [0, 0]) once returned [nan, nan]
+    for bad in (gi(math.inf, math.inf), gi(-math.inf, 1), gi(1, math.nan), gi(10**400, 10**400)):
+        for x, y in ((bad, gi(1, 2)), (gi(1, 2), bad)):
+            with pytest.raises(DomainError, match=f"{op.__name__} requires finite") as err:
+                op(x, y)
+            assert repr(bad) in str(err.value)
+    for bad in (2.0, (1, 2), interval(1, 2)):
+        with pytest.raises(TypeError, match=f"{op.__name__} takes GeneralizedIntervals"):
+            op(bad, gi(1, 2))
+
+
+@pytest.mark.parametrize("op", (mink_add, mink_sub, mink_mul, mink_div))
+def test_mink_of_finite_operands_overflows_but_is_never_nan(op):
+    big = sys.float_info.max
+    ends = (-big, -1e300, -1.0, -5e-324, 0.0, 5e-324, 1.0, 1e300, big)
+    pairs = [gi(a, b) for a in ends for b in ends if a <= b]
+    overflowed = 0
+    for x in pairs:
+        for y in pairs:
+            if op is mink_div and y.lo <= 0.0 <= y.hi:
+                continue
+            got = op(x, y)
+            assert not (math.isnan(got.lo) or math.isnan(got.hi)), (x, y, got)
+            overflowed += math.isinf(got.lo) or math.isinf(got.hi)
+    assert overflowed
+
+
+def test_compare_refuses_a_non_interval():
+    # once a bare AttributeError: 'int' object has no attribute 'order'
+    x = interval(1, 2)
+    for args in ((x, 1), (1, x), (x, 1.5), (x.raw, x), (x, None)):
+        with pytest.raises(TypeError, match="compare takes IntervalNumbers"):
+            compare(*args)
+
+
 def test_mink_mul_against_dense_sampling():
     # Bilinear products attain extrema at corners, so the hull of a sampled
     # grid pins the set product up to corner rounding.

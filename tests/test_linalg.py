@@ -330,6 +330,22 @@ def test_vector_matrix_validation():
                 a - b
 
 
+
+def test_vector_and_matrix_entries_must_be_interval_numbers():
+    # IntervalMatrix([[1.5]]) once built, and its product raised a bare
+    # AttributeError; int rows raised one from the uniformity check
+    x = interval(1, 2)
+    for build, kind in (
+        (lambda: IntervalMatrix([[1.5]]), "float"),
+        (lambda: IntervalMatrix([[1, 2], [3, 4]]), "int"),
+        (lambda: IntervalMatrix([[x, x], [x, None]]), "NoneType"),
+        (lambda: IntervalVector([x, "a"]), "str"),
+        (lambda: IntervalVector([x.element]), "AlgebraElement"),
+    ):
+        with pytest.raises(TypeError, match=f"entries must be IntervalNumbers, not {kind}$"):
+            build()
+
+
 # -- two_norm -----------------------------------------------------------------
 
 def test_two_norm_345():

@@ -123,6 +123,16 @@ def test_fd_rejects_a_step_that_is_not_a_positive_finite_real(fd, h):
 
 
 @pytest.mark.parametrize("fd", (fd_first, fd_second))
+def test_fd_rejects_an_x_that_is_not_an_interval(fd):
+    # once a bare AttributeError: 'float' object has no attribute 'midpoint'
+    for style in FdStyle:
+        f = Counted(xexp)
+        with pytest.raises(TypeError, match="x must be an IntervalNumber, not float"):
+            fd(f, 2.0, 1e-6, style)
+        assert f.calls == 0
+
+
+@pytest.mark.parametrize("fd", (fd_first, fd_second))
 def test_fd_style_is_an_fd_style_member_or_its_value(fd):
     x = interval(2, eps=0.1)
     for value, member in (("midpoint", FdStyle.MIDPOINT), ("full", FdStyle.FULL)):

@@ -1,6 +1,7 @@
 """The immutable value classes: the contract a frozen dataclass gave them."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -296,6 +297,23 @@ def test_public_constructors_still_convert_and_check():
     with pytest.raises(ValueError):
         ia.IntervalNumber("exact", AlgebraElement.unit(4))
     assert ia.IntervalNumber("true", AlgebraElement.unit(4)).mode is ia.ArithmeticMode.TRUE
+
+
+@pytest.mark.parametrize(
+    "huge, infinity", ((10**400, math.inf), (-(10**400), -math.inf)), ids=("10**400", "-10**400")
+)
+def test_an_int_too_large_for_a_float_converts_as_an_infinity(huge, infinity):
+    # each once raised a bare OverflowError
+    assert GeneralizedInterval(huge, 1) == GeneralizedInterval(infinity, 1)
+    assert GeneralizedInterval(1, huge) == GeneralizedInterval(1, infinity)
+    element = AlgebraElement(4, (huge, 0, 0, 0))
+    assert element == AlgebraElement(4, (infinity, 0, 0, 0))
+    # the infinite factor meets a zero coefficient: NaNs, so compare bits
+    unit = X.element
+    assert bits(unit.scale(huge).coeffs) == bits(unit.scale(infinity).coeffs)
+    assert ia.format_number(huge) == ia.format_number(infinity) == str(infinity)
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        OptimizerConfig(rho=huge)
 
 
 @pytest.mark.parametrize(
