@@ -499,9 +499,8 @@ def compare(x: IntervalNumber, y: IntervalNumber) -> int:
     Ties on the deciding key fall through to the other key; a full tie means
     equal.  Returns -1, 0 or 1; TypeError unless both are interval numbers.
     """
-    for v in (x, y):
-        if not isinstance(v, IntervalNumber):
-            raise TypeError(f"compare takes IntervalNumbers, not {type(v).__name__}")
+    if not (isinstance(x, IntervalNumber) and isinstance(y, IntervalNumber)):
+        raise TypeError(f"cannot compare {type(x).__name__} with {type(y).__name__}")
     a_lo, a_hi = sorted(_COLLAPSE[x.order](x.coeffs))
     b_lo, b_hi = sorted(_COLLAPSE[y.order](y.coeffs))
     widths = (_width(a_lo, a_hi), _width(b_lo, b_hi))

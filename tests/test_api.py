@@ -273,7 +273,7 @@ ENTRY_POINTS = {
     "interval-eps": lambda v: intalg.interval(1, eps=v),
     "embed": lambda v: intalg.embed(v, 1),
     "scalar_mul": lambda v: intalg.scalar_mul(v, X),
-    "format_number": lambda v: intalg.format_number(v),
+    "format_number": intalg.format_number,
     **{
         f"{op.__name__}{how}": (lambda v, op=op, pair=pair: op(pair(v), GI))
         for op in (intalg.mink_add, intalg.mink_sub, intalg.mink_mul, intalg.mink_div)

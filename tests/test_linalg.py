@@ -320,18 +320,6 @@ def test_vector_matrix_validation():
         IntervalMatrix([[interval(1)], [interval(1)], [interval(1, order=5)]])
     with pytest.raises(ShapeMismatchError, match="matrix must not be empty"):
         IntervalMatrix([])
-    u2, u3 = deg_vector((1.0, 2.0)), deg_vector((1.0, 2.0, 3.0))
-    m2, m3 = deg_matrix(M2), deg_matrix(M3)
-    for shorter, longer, what in ((u2, u3, "vector lengths"), (m2, m3, "matrix shapes")):
-        for a, b in ((shorter, longer), (longer, shorter)):
-            with pytest.raises(ShapeMismatchError, match=f"{what} differ"):
-                a + b
-            with pytest.raises(ShapeMismatchError, match=f"{what} differ"):
-                a - b
-
-
-
-def test_vector_and_matrix_entries_must_be_interval_numbers():
     # IntervalMatrix([[1.5]]) once built, and its product raised a bare
     # AttributeError; int rows raised one from the uniformity check
     x = interval(1, 2)
@@ -344,6 +332,14 @@ def test_vector_and_matrix_entries_must_be_interval_numbers():
     ):
         with pytest.raises(TypeError, match=f"entries must be IntervalNumbers, not {kind}$"):
             build()
+    u2, u3 = deg_vector((1.0, 2.0)), deg_vector((1.0, 2.0, 3.0))
+    m2, m3 = deg_matrix(M2), deg_matrix(M3)
+    for shorter, longer, what in ((u2, u3, "vector lengths"), (m2, m3, "matrix shapes")):
+        for a, b in ((shorter, longer), (longer, shorter)):
+            with pytest.raises(ShapeMismatchError, match=f"{what} differ"):
+                a + b
+            with pytest.raises(ShapeMismatchError, match=f"{what} differ"):
+                a - b
 
 
 # -- two_norm -----------------------------------------------------------------
