@@ -144,8 +144,14 @@ def _slot_make(cls):
 
 
 def _float(v: float) -> float:
-    """float(v) for a real v, except that an int too large for a float is an
-    infinity of its sign, so that it meets the checks an infinity meets."""
+    """A float as it is and an int (a bool counts as one) as float(v), except
+    that an int too large for a float is an infinity of its sign, so that it
+    meets the checks an infinity meets; TypeError for anything else, so that
+    text is read only by the literal grammar."""
+    if v.__class__ is float:
+        return v
+    if not isinstance(v, (int, float)):
+        raise TypeError(f"expected a real number, not {type(v).__name__}")
     try:
         return float(v)
     except OverflowError:

@@ -29,7 +29,7 @@ import math
 from operator import add, mul, sub, truediv
 from typing import Mapping, Union
 
-from .algebra import AlgebraOrder, _as_order, _Record
+from .algebra import AlgebraOrder, _as_order, _float, _Record
 from .errors import EvalError
 from .interval import (
     ArithmeticMode,
@@ -270,9 +270,10 @@ def _wrap(text: str, need: bool) -> str:
 
 
 def unparse(node: ExprNode) -> str:
-    """Text that parses back to an equal tree.  A tree nested too deeply to
-    print, a number no literal spells (negative, -0.0 or not finite), or an
-    operator or function name that parse does not know raises EvalError."""
+    """Text that parses back to an equal tree, each leaf printed as its float.
+    A tree nested too deeply to print, a number no literal spells (negative,
+    -0.0 or not finite), or an operator or function name that parse does not
+    know raises EvalError."""
     try:
         return _unparse(node)
     except RecursionError:
@@ -281,14 +282,16 @@ def unparse(node: ExprNode) -> str:
 
 def _unparse(node: ExprNode) -> str:
     if isinstance(node, Num):
-        # a sign or a name would read back as Neg or Var
-        if math.isfinite(node.value) and math.copysign(1.0, node.value) > 0:
-            return repr(node.value)
-        raise EvalError(f"no literal spells the number {node.value!r}")
+        # a leaf prints as its float; a sign or a name would read back as Neg or Var
+        v = _float(node.value)
+        if math.isfinite(v) and math.copysign(1.0, v) > 0:
+            return repr(v)
+        raise EvalError(f"no literal spells the number {v!r}")
     if isinstance(node, IntervalLit):
-        if math.isfinite(node.lo) and math.isfinite(node.hi):
-            return f"[{node.lo!r},{node.hi!r}]"
-        raise EvalError(f"no literal spells the interval [{node.lo!r},{node.hi!r}]")
+        lo, hi = _float(node.lo), _float(node.hi)
+        if math.isfinite(lo) and math.isfinite(hi):
+            return f"[{lo!r},{hi!r}]"
+        raise EvalError(f"no literal spells the interval [{lo!r},{hi!r}]")
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):

@@ -10,16 +10,19 @@ its endpoints are collapsed on each read.  Each operator, float read and lift
 is one call of the order's generated kernel (``algebra._MUL``, ``_ADD``, ...,
 ``_COLLAPSE``, ``_EMBED``) on coefficient tuples or floats, and the kernels do
 their own checks: the collapse kernel refuses a NaN endpoint and the embed
-kernel a non-finite one, points and improper pairs included.  An operand of
-the same mode and order is taken as it is; any other goes through
-``_coerce``, where a real becomes ``float(v)`` and then its point's
-coefficients, and an int too large for a float meets the checks of an
-infinity.  The ``AlgebraElement`` view is built only when asked for, and
-``collapse`` builds its ``GeneralizedInterval`` with the record's trusted
-``_make``, so the hot paths build no element and convert no float twice.
+kernel a non-finite one, points and improper pairs included.  Each binary
+operator takes its operand's coefficients from ``_operand``: an interval
+number of the same mode and order as it is, a real as its point's
+coefficients (an int through ``_float``, so one too large for a float meets
+the checks of an infinity), and any other interval number as a
+``ModeMismatchError`` or ``OrderMismatchError``.  The ``AlgebraElement``
+view is built only when asked for, and ``collapse`` builds its
+``GeneralizedInterval`` with the record's trusted ``_make``, so the hot paths
+build no element and convert no float twice.
 
 Interval text has one grammar: ``_Reader`` reads the tokens and literals of
 expressions (``exprcalc``), option values and matrix files (``linalg``).
+Constructors and operators take ints and floats, never text.
 
 Two subtraction semantics coexist:
 
@@ -189,10 +192,7 @@ def embed(lo: float, hi: float, order: int | AlgebraOrder = 4) -> AlgebraElement
 def _real(v: float, order: AlgebraOrder) -> tuple[float, ...]:
     """The coefficients of the point interval [v, v] of a real operand,
     which must be finite."""
-    try:
-        v = float(v)
-    except OverflowError:
-        v = _float(v)  # _float's infinity, without a call on the common path
+    v = _float(v)
     return _EMBED[order](v, v)
 
 
@@ -285,48 +285,24 @@ class IntervalNumber(_Record):
             f"mode={self.mode.value})"
         )
 
-    # -- coercion and compatibility checks ---------------------------------
-
-    def _coerce(self, other) -> tuple[float, ...] | None:
-        """The coefficients of an operand at this number's mode and order,
-        or None when other is neither an interval number nor a real."""
-        if isinstance(other, IntervalNumber):
-            if other.mode is not self.mode:
-                raise ModeMismatchError(
-                    f"mixed arithmetic modes: {self.mode.value} vs {other.mode.value}"
-                )
-            if other.order is not self.order:
-                raise OrderMismatchError(
-                    f"mixed algebra orders: {int(self.order)} vs {int(other.order)}"
-                )
-            return other.coeffs
-        if isinstance(other, (int, float)):
-            return _real(other, self.order)
-        return None
-
     # -- arithmetic ---------------------------------------------------------
-    # Each binary operator takes an operand of its own mode and order as it
-    # is, and hands any other to _coerce.
+    # Each binary operator takes its operand's coefficients from _operand.
 
     def __neg__(self) -> "IntervalNumber":
         return _number(self.mode, self.order, _negated(self))
 
     def __add__(self, other) -> "IntervalNumber":
-        mode, order = self.mode, self.order
-        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
-            o = other.coeffs
-        elif (o := self._coerce(other)) is None:
+        if (o := _operand(self, other)) is None:
             return NotImplemented
-        return _number(mode, order, _ADD[order](self.coeffs, o))
+        order = self.order
+        return _number(self.mode, order, _ADD[order](self.coeffs, o))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "IntervalNumber":
-        mode, order = self.mode, self.order
-        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
-            o = other.coeffs
-        elif (o := self._coerce(other)) is None:
+        if (o := _operand(self, other)) is None:
             return NotImplemented
+        mode, order = self.mode, self.order
         if mode is ArithmeticMode.TRUE:
             return _number(mode, order, _SUB[order](self.coeffs, o))
         if not isinstance(other, IntervalNumber):
@@ -334,42 +310,33 @@ class IntervalNumber(_Record):
         return _number(mode, order, _ADD[order](self.coeffs, _negated(other)))
 
     def __rsub__(self, other) -> "IntervalNumber":
-        mode, order = self.mode, self.order
-        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
-            o = other.coeffs
-        elif (o := self._coerce(other)) is None:
+        if (o := _operand(self, other)) is None:
             return NotImplemented
+        mode, order = self.mode, self.order
         if mode is ArithmeticMode.TRUE:
             return _number(mode, order, _SUB[order](o, self.coeffs))
         return _number(mode, order, _ADD[order](o, _negated(self)))
 
     def __mul__(self, other) -> "IntervalNumber":
-        mode, order = self.mode, self.order
-        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
-            o = other.coeffs
-        elif (o := self._coerce(other)) is None:
+        if (o := _operand(self, other)) is None:
             return NotImplemented
-        return _number(mode, order, _MUL[order](self.coeffs, o))
+        order = self.order
+        return _number(self.mode, order, _MUL[order](self.coeffs, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "IntervalNumber":
-        mode, order = self.mode, self.order
-        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
-            divisor = other
-        elif (o := self._coerce(other)) is None:
+        if (o := _operand(self, other)) is None:
             return NotImplemented
-        else:
-            divisor = other if isinstance(other, IntervalNumber) else _number(mode, order, o)
+        mode, order = self.mode, self.order
+        divisor = other if isinstance(other, IntervalNumber) else _number(mode, order, o)
         return _number(mode, order, _MUL[order](self.coeffs, _reciprocal(divisor)))
 
     def __rtruediv__(self, other) -> "IntervalNumber":
-        mode, order = self.mode, self.order
-        if other.__class__ is IntervalNumber and other.mode is mode and other.order is order:
-            o = other.coeffs
-        elif (o := self._coerce(other)) is None:
+        if (o := _operand(self, other)) is None:
             return NotImplemented
-        return _number(mode, order, _MUL[order](o, _reciprocal(self)))
+        order = self.order
+        return _number(self.mode, order, _MUL[order](o, _reciprocal(self)))
 
     def __pow__(self, exponent) -> "IntervalNumber":
         return pow_int(self, exponent)
@@ -415,9 +382,7 @@ class IntervalNumber(_Record):
     def _cmp(self, other) -> int:
         if isinstance(other, (int, float)):
             other = _point(other, self.order, self.mode)
-        elif not isinstance(other, IntervalNumber):
-            raise TypeError(f"cannot compare IntervalNumber with {type(other)!r}")
-        return compare(self, other)
+        return compare(self, other)  # which refuses a non-interval
 
     def contains(self, other) -> bool:
         """Set containment of the canonical intervals."""
@@ -425,13 +390,36 @@ class IntervalNumber(_Record):
             lo, hi = sorted(_COLLAPSE[self.order](self.coeffs))
             return lo <= _float(other) <= hi
         if not isinstance(other, IntervalNumber):
-            raise TypeError(f"cannot compare IntervalNumber with {type(other)!r}")
+            raise TypeError(f"cannot compare IntervalNumber with {type(other).__name__}")
         a_lo, a_hi = sorted(_COLLAPSE[self.order](self.coeffs))
         b_lo, b_hi = sorted(_COLLAPSE[other.order](other.coeffs))
         return a_lo <= b_lo and b_hi <= a_hi
 
 
 _number = IntervalNumber._make  # every result: a mode, an AlgebraOrder and floats
+
+
+def _operand(x: IntervalNumber, other) -> tuple[float, ...] | None:
+    """The coefficients of an operand at x's mode and order, or None when
+    other is neither an interval number nor a real; an interval number of
+    another mode or order raises ModeMismatchError or OrderMismatchError."""
+    if other.__class__ is x.__class__ and other.mode is x.mode and other.order is x.order:
+        return other.coeffs
+    if other.__class__ is float:
+        return _EMBED[x.order](other, other)  # _real, without the call
+    if isinstance(other, IntervalNumber):
+        if other.mode is not x.mode:
+            raise ModeMismatchError(
+                f"mixed arithmetic modes: {x.mode.value} vs {other.mode.value}"
+            )
+        if other.order is not x.order:
+            raise OrderMismatchError(
+                f"mixed algebra orders: {int(x.order)} vs {int(other.order)}"
+            )
+        return other.coeffs
+    if isinstance(other, (int, float)):
+        return _real(other, x.order)
+    return None
 
 
 def _negated(x: IntervalNumber) -> tuple[float, ...]:

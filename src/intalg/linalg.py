@@ -46,6 +46,7 @@ from .interval import (
     IntervalNumber,
     IterationRecord,
     _number,
+    _operand,
     _option_reader,
     _reciprocal,
     format_interval,
@@ -219,7 +220,7 @@ def dot(u: IntervalVector, v: IntervalVector) -> IntervalNumber:
     head = u[0]
     # Raises on mixed modes or orders as head * v[0] would; each vector is
     # uniform, so the first pair speaks for all of them.
-    head._coerce(v[0])
+    _operand(head, v[0])
     return _number(head.mode, head.order, _dot(u.entries, v.entries))
 
 
@@ -244,7 +245,7 @@ def matmul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
         raise ShapeMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
     head = a.rows[0][0]
     # Each matrix is uniform, so the first pair speaks for all of them.
-    head._coerce(b.rows[0][0])
+    _operand(head, b.rows[0][0])
     mode, order = head.mode, head.order
     cols = list(zip(*(r.entries for r in b.rows)))
     return IntervalMatrix(

@@ -1,9 +1,11 @@
 import ast
+import hashlib
 import inspect
 import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -239,6 +241,37 @@ print([table[a.AlgebraOrder(5)].__name__ for table in a._KERNELS.values()])
         "(0.0, 0.0, 0.0, 0.0, 0.0) [5]",
         "['mul', 'add', 'sub', 'neg', 'scale', 'collapse', 'embed']",
     ], run.stderr
+
+
+# The first 16 hex digits of the SHA-256 of each generated kernel's def
+# block, per order.  The kernels' operations, their order included, are part
+# of the results pinned bit for bit, and a branch that only saves a float
+# operation (a zero term, a unit divisor, the last cone's else) changes no
+# tested bit; so a change to a kernel's source updates these digests in the
+# same commit and says why in CHANGES.md.
+KERNEL_DIGESTS = {
+    4: {"mul": "c214c92d24394bae", "add": "12e927425a001e54", "sub": "0a0d667467633a6e",
+        "neg": "0487050ffd3131cd", "scale": "32f124b5feecbe47",
+        "collapse": "4580c44f39e7e090", "embed": "0162ef95d8023acd"},
+    5: {"mul": "0a68a23ba58ab793", "add": "0abbc40b6e7d77bd", "sub": "f0e47b10e5c23371",
+        "neg": "eb948074b8f8565a", "scale": "20fb76cae1aae71f",
+        "collapse": "f41d1631c78544e3", "embed": "706b1845911046f3"},
+    7: {"mul": "ba760f3684697ce8", "add": "11f60ad676eae745", "sub": "d2af21f5310b5207",
+        "neg": "7309616ff33bda87", "scale": "5e2ef49f8b6c4c05",
+        "collapse": "eda4c4461f22c7cd", "embed": "104c5ac45baefa92"},
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_kernel_sources_are_pinned(order):
+    algebra = sys.modules["intalg.algebra"]
+    blocks = re.split(r"(?m)^(?=def )", algebra._kernel_source(AlgebraOrder(order)))
+    digests = {
+        block[4 : block.index("(")]: hashlib.sha256(block.encode()).hexdigest()[:16]
+        for block in blocks
+        if block
+    }
+    assert digests == KERNEL_DIGESTS[order]
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -239,12 +239,10 @@ def _float_calls(tree):
 
 def test_reals_are_converted_in_one_place():
     # algebra._float turns a caller's real into a float, an int too large
-    # for one into an infinity; _real inlines it on the operators' path, the
-    # token readers convert literal text, and the plane kernels build their
-    # identity from bools
+    # for one into an infinity; the token readers convert literal text, and
+    # the plane kernels build their identity from bools
     allowed = {
         "algebra._float",
-        "interval._real",
         "interval._Reader.number",
         "exprcalc._Parser.parse",
         "exprcalc._Parser.exponent",
@@ -288,18 +286,19 @@ ENTRY_POINTS = {
     "OptimizerConfig": lambda v: intalg.OptimizerConfig(rho=v),
 }
 BAD_VALUES = {"10**400": 10**400, "-10**400": -(10**400), "inf": math.inf,
-              "nan": math.nan, "str": "a", "None": None}
+              "nan": math.nan, "str": "a", "1_0": "1_0", "nan-text": " nan ", "None": None}
 
 
 @pytest.mark.parametrize("value", BAD_VALUES.values(), ids=list(BAD_VALUES))
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_a_bad_value_is_refused_with_a_typed_error(name, value):
     # never a bare OverflowError (an int too large for a float) or
-    # AttributeError (a non-interval read as one); a record may hold a NaN,
-    # a Minkowski result may not
+    # AttributeError (a non-interval read as one); text is read only by the
+    # literal grammar; a record may hold a NaN, a Minkowski result may not
     try:
         result = ENTRY_POINTS[name](value)
     except (TypeError, ValueError, intalg.IntalgError):
         return
+    assert not isinstance(value, str), result
     if name.startswith("mink_"):
         assert not (math.isnan(result.lo) or math.isnan(result.hi)), result

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import intalg as ia
@@ -56,6 +60,27 @@ GOLDEN = [
     ("semantic", "x*(x-2)+1", "[2.0,11.0]", ("--let", "x=[3,4]")),
     ("semantic", "(x-1)^2", "[2.0,11.0]", ("--let", "x=[3,4]")),
 ]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    (
+        (("calc", "1+1"), 0, "[2.0,2.0]\n"),
+        (("calc", "x"), 2, ""),
+        (("invert", "--demo", "paper2x2", "--max-iter", "1"), 3, ""),
+        (("calc", "--order", "6", "1"), 2, ""),
+    ),
+    ids=("calc", "calc-unbound-name", "invert-unconverged", "calc-bad-order"),
+)
+def test_module_entry_point_exits_with_mains_code(argv, code, out):
+    # every other test calls main in process; this one runs the module as a
+    # program, so its exit status is main's return value
+    src = os.path.dirname(os.path.dirname(ia.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "intalg.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stdout) == (code, out), run.stderr
 
 
 def test_golden_session(capsys):

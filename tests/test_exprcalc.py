@@ -489,13 +489,27 @@ def test_flat_sum_evaluates_and_prints_at_any_length():
 @pytest.mark.parametrize(
     "node",
     (Num(-2.0), Num(-0.0), Num(math.inf), Num(math.nan),
-     IntervalLit(0.0, math.inf), IntervalLit(-math.inf, 0.0), IntervalLit(math.nan, 1.0)),
+     IntervalLit(0.0, math.inf), IntervalLit(-math.inf, 0.0), IntervalLit(math.nan, 1.0),
+     pytest.param(Num(10**400), id="Num(value=10**400)"),
+     pytest.param(IntervalLit(1.0, 10**400), id="IntervalLit(lo=1.0, hi=10**400)")),
     ids=repr,
 )
 def test_unparse_refuses_leaves_no_text_spells(node):
-    # -2.0 would read back as Neg(Num(2.0)) and inf as the variable inf
+    # -2.0 would read back as Neg(Num(2.0)), inf as the variable inf, and an
+    # int too large for a float is printed as its float, inf
     with pytest.raises(EvalError, match="no literal spells"):
         unparse(node)
+
+
+@pytest.mark.parametrize(
+    "node, text",
+    ((Num(True), "1.0"), (IntervalLit(True, 2), "[1.0,2.0]"), (IntervalLit(False, 1), "[0.0,1.0]")),
+    ids=repr,
+)
+def test_unparse_prints_leaves_as_floats(node, text):
+    # a bool leaf would print as the name True, which reads back as a Var
+    assert unparse(node) == text
+    assert parse(text) == node
 
 
 def test_deep_tree_compares_hashes_and_prints_typed():
